@@ -6,6 +6,7 @@ prime censuses, primorial scaffold tables, prime-pair (Goldbach-style)
 solution search, and an empirical audit suite for the framework's claims.
 """
 
+from .auditor import ClaimReport, audit_all
 from .census import (
     CensusCounts,
     NewCompositeSet,
@@ -18,6 +19,7 @@ from .census import (
     seed_multiple_level_counts,
     totient_of_primorial,
     true_twin_count,
+    twin_masks,
 )
 from .errors import BudgetError, DomainError, PrimorialOverflowError
 from .goldbach import (
@@ -64,25 +66,26 @@ from .signatures import (
     crt_reconstruct,
     is_potential_twin,
     residue_cycle,
+    residue_sieve,
     signature,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "CensusCounts", "Classification", "DomainError", "GoldbachPair",
-    "GoldbachSolution", "ModularSignature", "NewCompositeSet", "PrimeTable",
+    "BudgetError", "CensusCounts", "ClaimReport", "Classification", "DomainError",
+    "GoldbachPair", "GoldbachSolution", "ModularSignature", "NewCompositeSet", "PrimeTable",
     "Primorial", "PrimorialOverflowError", "RatioRow", "ScaffoldRow", "SeedPrimeSet",
-    "avg_solutions_in_cycle", "build_table17", "build_table18", "build_table19_20",
-    "build_table21", "classify", "crt_reconstruct", "cycle_census",
+    "audit_all", "avg_solutions_in_cycle", "build_table17", "build_table18",
+    "build_table19_20", "build_table21", "classify", "crt_reconstruct", "cycle_census",
     "exact_potential_goldbach_count", "figure1_series", "goldbach_pairs",
     "goldbach_solve", "is_potential_twin", "is_prime", "largest_primorial_at_most",
     "max_seed_prime_for", "mismatch_filter", "mod3_rule", "new_composites",
     "nth_primorial", "pair_count_table", "potential_solutions_T",
     "prime_count_via_eq1", "prime_count_via_eq3", "primes_up_to", "product_factor",
     "product_factor_fraction", "residue_addition_table", "residue_cycle",
-    "round_display", "seed_multiple_level_counts", "seed_prime_set",
+    "residue_sieve", "round_display", "seed_multiple_level_counts", "seed_prime_set",
     "sieve_odd_flags", "signature",
     "smallest_primorial_at_least", "mismatch_violations", "totient_of_primorial",
-    "true_twin_count",
+    "true_twin_count", "twin_masks",
 ]

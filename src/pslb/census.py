@@ -8,11 +8,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .primes import Primorial, primes_up_to, seed_prime_set
+from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, primes_up_to, seed_prime_set
 from .signatures import potential_prime_mask, potential_twin_mask
 
 DEFAULT_FACTOR_BUDGET = 510_510
-DEFAULT_PRIMALITY_BUDGET = 100_000_000
 
 
 def totient_of_primorial(p: Primorial) -> int:
@@ -50,6 +49,19 @@ class NewCompositeSet:
         return int(self.members[0])
 
 
+def _potential_and_new_composite_masks(p: Primorial, prime_value_mask: np.ndarray
+                                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(potential-prime mask, new-composite mask) over integers 1..p.value.
+
+    A new composite is a potential prime (odd, no core factor) that is
+    neither prime nor 1.
+    """
+    pp = potential_prime_mask(p.value, p.prime_factors)
+    new_comp = pp & ~prime_value_mask[1 : p.value + 1]
+    new_comp[:1] = False  # z = 1
+    return pp, new_comp
+
+
 def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewCompositeSet:
     """Exact member set of composites generated first by non-core seeds.
 
@@ -58,12 +70,8 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     """
     if p.value > budget:
         raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
-    table = primes_up_to(p.value)
-    mask = potential_prime_mask(p.value, p.prime_factors)
-    z = np.arange(1, p.value + 1, dtype=np.int64)
-    mask &= ~table.prime_mask()[1:]
-    mask &= z > 1
-    return NewCompositeSet(p, z[mask])
+    _, new_comp = _potential_and_new_composite_masks(p, primes_up_to(p.value).prime_mask())
+    return NewCompositeSet(p, np.flatnonzero(new_comp) + 1)
 
 
 def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:
@@ -136,14 +144,16 @@ class CensusCounts:
     new_composites_cumulative: int
 
 
-def _twin_true_mask(limit: int, core, prime_value_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(potential-twin mask, true-twin mask) over integers 1..limit."""
+def twin_masks(limit: int, core, prime_value_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(potential-twin mask, true-twin mask) over anchors 1..limit.
+
+    `prime_value_mask` is indexed by integer value and reaches at least limit;
+    a true twin is a potential-twin anchor o2 with o2 - 2 and o2 both prime.
+    """
     pt = potential_twin_mask(limit, core)
-    z = np.arange(1, limit + 1, dtype=np.int64)
-    anchor_prime = prime_value_mask[z]
-    partner_prime = np.zeros_like(anchor_prime)
-    partner_prime[2:] = prime_value_mask[z[:-2]]
-    tt = pt & anchor_prime & partner_prime
+    anchor_prime = prime_value_mask[1 : limit + 1]
+    tt = pt & anchor_prime  # pt already excludes anchors below 5
+    tt[2:] &= anchor_prime[:-2]
     return pt, tt
 
 
@@ -159,39 +169,33 @@ def cycle_census(inner: Primorial, outer: Primorial,
         raise DomainError(f"{inner.value} does not divide {outer.value}")
     if outer.value > budget:
         raise BudgetError(f"outer primorial {outer.value} exceeds budget {budget}")
-    table = primes_up_to(outer.value)
-    value_mask = table.prime_mask()
-    pp = potential_prime_mask(outer.value, outer.prime_factors)
-    pt, tt = _twin_true_mask(outer.value, outer.prime_factors, value_mask)
-    new_comp = pp & ~value_mask[1:] & (np.arange(1, outer.value + 1) > 1)
-    rows = []
-    cum = np.zeros(5, dtype=np.int64)
+    value_mask = primes_up_to(outer.value).prime_mask()
+    pp, new_comp = _potential_and_new_composite_masks(outer, value_mask)
+    pt, tt = twin_masks(outer.value, outer.prime_factors, value_mask)
     n_cycles = outer.value // inner.value
-    for c in range(1, n_cycles + 1):
-        lo, hi = (c - 1) * inner.value, c * inner.value
-        sl = slice(lo, hi)  # integers lo+1 .. hi
-        in_cycle = np.array(
-            [pp[sl].sum(), pt[sl].sum(), (pt[sl] & ~tt[sl]).sum(), tt[sl].sum(),
-             new_comp[sl].sum()]
+    # one row per cycle of integers (c-1)*inner+1 .. c*inner
+    per_cycle = np.stack([
+        m.reshape(n_cycles, inner.value).sum(axis=1)
+        for m in (pp, pt, pt & ~tt, tt, new_comp)
+    ], axis=1)
+    cum = np.cumsum(per_cycle, axis=0)
+    return [
+        CensusCounts(
+            cycle_index=c + 1,
+            cycle_end=(c + 1) * inner.value,
+            cycle_length=inner.value,
+            potential_primes=int(per_cycle[c, 0]),
+            potential_twins=int(per_cycle[c, 1]),
+            false_twins=int(per_cycle[c, 2]),
+            true_twins=int(per_cycle[c, 3]),
+            cumulative_potential_primes=int(cum[c, 0]),
+            cumulative_potential_twins=int(cum[c, 1]),
+            cumulative_false_twins=int(cum[c, 2]),
+            cumulative_true_twins=int(cum[c, 3]),
+            new_composites_cumulative=int(cum[c, 4]),
         )
-        cum += in_cycle
-        rows.append(
-            CensusCounts(
-                cycle_index=c,
-                cycle_end=hi,
-                cycle_length=inner.value,
-                potential_primes=int(in_cycle[0]),
-                potential_twins=int(in_cycle[1]),
-                false_twins=int(in_cycle[2]),
-                true_twins=int(in_cycle[3]),
-                cumulative_potential_primes=int(cum[0]),
-                cumulative_potential_twins=int(cum[1]),
-                cumulative_false_twins=int(cum[2]),
-                cumulative_true_twins=int(cum[3]),
-                new_composites_cumulative=int(cum[4]),
-            )
-        )
-    return rows
+        for c in range(n_cycles)
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,27 +216,21 @@ def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Fi
         raise BudgetError(f"primorial {p.value} exceeds budget {budget}")
     sps = seed_prime_set(p)
     width = 2 * sps.max_seed
-    table = primes_up_to(p.value)
-    pp = potential_prime_mask(p.value, p.prime_factors)
-    z = np.arange(1, p.value + 1, dtype=np.int64)
-    new_comp = pp & ~table.prime_mask()[1:] & (z > 1)
-    rows = []
-    cum = 0
-    index = 0
-    for lo in range(0, p.value, width):
-        hi = min(lo + width, p.value)
-        index += 1
-        cum += int(new_comp[lo:hi].sum())
-        rows.append(
-            Figure1Window(
-                index=index,
-                window_end=hi,
-                window_length=hi - lo,
-                potential_primes=int(pp[lo:hi].sum()),
-                cumulative_new_composites=cum,
-            )
+    pp, new_comp = _potential_and_new_composite_masks(p, primes_up_to(p.value).prime_mask())
+    starts = np.arange(0, p.value, width)
+    ends = np.minimum(starts + width, p.value)
+    potential = np.add.reduceat(pp, starts, dtype=np.int64)
+    cum = np.cumsum(np.add.reduceat(new_comp, starts, dtype=np.int64))
+    return [
+        Figure1Window(
+            index=i + 1,
+            window_end=hi,
+            window_length=hi - lo,
+            potential_primes=int(potential[i]),
+            cumulative_new_composites=int(cum[i]),
         )
-    return rows
+        for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist()))
+    ]
 
 
 def true_twin_count(limit_primorial: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:

@@ -177,7 +177,7 @@ def _cmd_twins(args) -> tables.TableData:
     if outer.value > args.sieve_budget:
         raise BudgetError(f"enclosing primorial {outer.value} exceeds budget {args.sieve_budget}")
     table = primes_up_to(outer.value)
-    pt, tt = census._twin_true_mask(limit, outer.prime_factors, table.prime_mask())
+    pt, tt = census.twin_masks(limit, outer.prime_factors, table.prime_mask())
     if args.count:
         return tables.TableData(
             0, f"true twin pairs with anchor <= {limit}",
@@ -334,6 +334,8 @@ def main(argv=None) -> int:
             parser.error("cache verify requires a cache file path")
     args.exit_code = 0
     try:
+        if args.precision < 0:
+            raise DomainError(f"--precision must be >= 0, got {args.precision}")
         data = args.handler(args)
         _emit(render(data, args.format, args.precision), args.out)
     except BudgetError as exc:

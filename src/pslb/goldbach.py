@@ -7,15 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import DEFAULT_PRIMALITY_BUDGET
 from .errors import BudgetError, DomainError
 from .primes import (
+    DEFAULT_PRIMALITY_BUDGET,
     SeedPrimeSet,
     largest_primorial_at_most,
     primes_up_to,
     seed_prime_set,
     smallest_primorial_at_least,
 )
+from .signatures import residue_sieve
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,20 @@ def residue_addition_table(p: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % p
 
 
+def _seed_free_mask(lo: int, hi: int, seeds) -> np.ndarray:
+    """Mask over lo..hi of the integers that no seed prime divides."""
+    return residue_sieve(lo, hi, {q: (0,) for q in seeds})
+
+
 def mismatch_filter(E: int, sps: SeedPrimeSet, budget: int = DEFAULT_PRIMALITY_BUDGET) -> list[int]:
     """Primes p1 below E/2 whose residues differ from E's at every seed prime.
 
     The trivial solution p1 = E/2 (when prime) is appended; it is the one
     case where a shared residue class is allowed.
+
+    p1 and E share a residue mod q exactly when q divides the partner E - p1,
+    so the rule is evaluated as one seed-multiple sieve over the partner
+    window (E/2, E - 2], gathered at E - p1.
     """
     _check_even(E)
     expected = smallest_primorial_at_least(E)
@@ -129,16 +139,13 @@ def mismatch_filter(E: int, sps: SeedPrimeSet, budget: int = DEFAULT_PRIMALITY_B
         )
     if E > budget:
         raise BudgetError(f"{E} exceeds primality budget {budget}")
-    seeds = sps.all_seeds
     table = primes_up_to(E)
-    out = []
-    for p1 in table.ordered_primes:
-        p1 = int(p1)
-        if 2 * p1 >= E:
-            break
-        if all(p1 % q != E % q for q in seeds):
-            out.append(p1)
-    if E % 2 == 0 and table.is_prime(E // 2):
+    primes = table.ordered_primes
+    p1 = primes[: np.searchsorted(primes, E // 2)]  # 2 * p1 < E
+    lo = E // 2 + 1
+    keep = _seed_free_mask(lo, E - 2, sps.all_seeds)
+    out = p1[keep[E - p1 - lo]].tolist()
+    if table.is_prime(E // 2):
         out.append(E // 2)
     return out
 
@@ -146,8 +153,9 @@ def mismatch_filter(E: int, sps: SeedPrimeSet, budget: int = DEFAULT_PRIMALITY_B
 def mismatch_violations(upper: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> list[tuple[int, int]]:
     """(E, p1) pairs where the mismatch filter yields a composite partner.
 
-    Vectorized over all even 6 <= E <= upper; equivalent to running
-    mismatch_filter per E and testing E - p1 for primality.
+    Covers all even 6 <= E <= upper; equivalent to running mismatch_filter
+    per E and testing E - p1 for primality. The trivial half never
+    contributes, since its partner is itself.
     """
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
@@ -156,26 +164,20 @@ def mismatch_violations(upper: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> l
     table = primes_up_to(upper)
     mask = table.prime_mask()
     primes = table.ordered_primes
-    half = primes[primes * 2 < upper].astype(np.int64)
+    half = primes[primes * 2 < upper]
     # Seed sets only change at primorial boundaries; group evens by them.
     violations = []
     lo = 6
     while lo <= upper:
         prim = smallest_primorial_at_least(lo)
         hi = min(prim.value, upper)
-        if prim.value >= 30:
-            seeds = np.array(seed_prime_set(prim).all_seeds, dtype=np.int64)
-        else:
-            # 6 is the only enclosing primorial below 30; its lone seed is 2.
-            seeds = np.array([2], dtype=np.int64)
-        res = half[:, None] % seeds[None, :]
+        # 6 is the only enclosing primorial below 30; its lone seed is 2.
+        seeds = seed_prime_set(prim).all_seeds if prim.value >= 30 else (2,)
+        # composite partners that pass the filter; index = partner value
+        rough_composite = _seed_free_mask(0, hi, seeds) & ~mask[: hi + 1]
         for E in range(lo, hi + 1, 2):
-            ok = (res != np.asarray(E) % seeds).all(axis=1) & (half * 2 < E)
-            for p1 in half[ok]:
-                if not mask[E - p1]:
-                    violations.append((E, int(p1)))
-            if E % 2 == 0 and mask[E // 2] and not mask[E - E // 2]:
-                violations.append((E, E // 2))
+            p1 = half[: np.searchsorted(half, E // 2)]
+            violations.extend((E, p) for p in p1[rough_composite[E - p1]].tolist())
         lo = hi + 2 if hi % 2 == 0 else hi + 1
     return violations
 

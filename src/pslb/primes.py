@@ -20,8 +20,11 @@ U64_MAX = 2**64 - 1
 
 CACHE_MAGIC = b"PSLB"
 CACHE_VERSION = 1
+_CACHE_HEADER = 13  # magic, version byte, little-endian u64 limit
 
 DEFAULT_SEGMENT = 1 << 20
+
+DEFAULT_PRIMALITY_BUDGET = 100_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -172,6 +175,10 @@ class PrimeTable:
     def load(cls, path) -> "PrimeTable":
         with open(path, "rb") as fh:
             blob = fh.read()
+        if len(blob) < _CACHE_HEADER:
+            raise DomainError(
+                f"bad sieve cache: expected a {_CACHE_HEADER}-byte header, found {len(blob)} bytes"
+            )
         if blob[:4] != CACHE_MAGIC:
             raise DomainError("bad sieve cache: wrong magic bytes")
         (version,) = struct.unpack("<B", blob[4:5])
@@ -180,7 +187,7 @@ class PrimeTable:
         (limit,) = struct.unpack("<Q", blob[5:13])
         size = (limit + 1) // 2
         expected = (size + 7) // 8
-        body = blob[13:]
+        body = blob[_CACHE_HEADER:]
         if len(body) != expected:
             raise DomainError(
                 f"bad sieve cache: expected {expected} bitset bytes, found {len(body)}"
@@ -305,12 +312,8 @@ def seed_prime_set(p: Primorial) -> SeedPrimeSet:
     """Partition the seed primes of a primorial into core and non-core."""
     if p.value < 30:
         raise DomainError(f"seed prime partition needs primorial >= 30, got {p.value}")
-    root = math.isqrt(p.value)
-    table = primes_up_to(root)
-    max_seed = table.largest_prime_at_most(root)
-    non_core = tuple(
-        int(q) for q in table.ordered_primes if p.largest_factor < q <= max_seed
-    )
+    primes = primes_up_to(math.isqrt(p.value)).ordered_primes
+    non_core = tuple(primes[np.searchsorted(primes, p.largest_factor, side="right"):].tolist())
     return SeedPrimeSet(p, p.prime_factors, non_core)
 
 

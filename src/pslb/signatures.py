@@ -1,12 +1,13 @@
 """Modular signatures: residue sequences, CRT reconstruction, classification."""
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .primes import SeedPrimeSet, is_prime
+from .errors import BudgetError, DomainError
+from .primes import DEFAULT_PRIMALITY_BUDGET, SeedPrimeSet, is_prime, primes_up_to
 
 VERDICT_UNIT = "unit"
 VERDICT_SEED_PRIME = "seed-prime"
@@ -30,8 +31,11 @@ def _check_seeds(seeds) -> tuple[int, ...]:
         raise DomainError("seed prime list is empty")
     if list(seeds) != sorted(set(seeds)):
         raise DomainError(f"seed primes must be strictly ascending: {seeds}")
+    if seeds[-1] > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(f"seed {seeds[-1]} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
+    table = primes_up_to(max(seeds[-1], 2))
     for s in seeds:
-        if not is_prime(s):
+        if not table.is_prime(s):
             raise DomainError(f"seed {s} is not prime")
     return seeds
 
@@ -127,38 +131,44 @@ def residue_cycle(p: int, parity: str) -> tuple[int, ...]:
     return tuple((start + 2 * k) % p for k in range(p))
 
 
+def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> np.ndarray:
+    """Mask over the integers lo..hi (inclusive) whose residue mod each q
+    avoids every class in forbidden[q].
+
+    Index i corresponds to the integer lo+i. Each forbidden class clears one
+    strided slice, so the cost is O((hi - lo) * sum(|R_q| / q)).
+    """
+    keep = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    for q, residues in forbidden.items():
+        if q < 1:
+            raise DomainError(f"residue modulus must be >= 1, got {q}")
+        for r in residues:
+            keep[(r - lo) % q :: q] = False
+    return keep
+
+
+def _odd_seed_classes(seeds, classes: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """The even integers plus the given classes at every odd seed."""
+    return {2: (0,), **{p: classes for p in seeds if p != 2}}
+
+
 def potential_prime_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
     """Mask over 1..limit of odd integers with no zero core residue.
 
     Index i corresponds to the integer i+1.
     """
-    z = np.arange(1, limit + 1, dtype=np.int64)
-    mask = z % 2 == 1
-    for p in core:
-        if p == 2:
-            continue
-        mask &= z % p != 0
-    return mask
+    return residue_sieve(1, limit, _odd_seed_classes(core, (0,)))
 
 
 def potential_twin_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
     """Mask over 1..limit of twin anchors surviving the odd core seeds."""
-    z = np.arange(1, limit + 1, dtype=np.int64)
-    mask = (z % 2 == 1) & (z >= 5)
-    for p in core:
-        if p == 2:
-            continue
-        r = z % p
-        mask &= (r != 0) & (r != 2 % p)
+    mask = residue_sieve(1, limit, _odd_seed_classes(core, (0, 2)))
+    mask[:4] = False  # anchors start at 5
     return mask
 
 
 def certified_mask(limit: int, seeds: tuple[int, ...]) -> np.ndarray:
     """Mask over 1..limit of odd z > 1 with no zero residue at any seed."""
-    z = np.arange(1, limit + 1, dtype=np.int64)
-    mask = (z % 2 == 1) & (z > 1)
-    for p in seeds:
-        if p == 2:
-            continue
-        mask &= z % p != 0
+    mask = residue_sieve(1, limit, _odd_seed_classes(seeds, (0,)))
+    mask[:1] = False  # z = 1
     return mask

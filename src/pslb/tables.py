@@ -231,9 +231,11 @@ def _table17() -> TableData:
 def _table18() -> TableData:
     cols = ("index", "M", "N", "avg_1", "avg_2", "ratio", "T_ratio", "pf_ratio")
     rows: list[list] = [[1, 210, "13#", None, None, None, None, None]]
+    # rows of table 17 do not depend on how many are built
+    two_primorial = scaffold.build_table17(9)
     for r in scaffold.build_table18(9):
         rows.append([
-            r.index, r.M2.value, f"{scaffold.build_table17(r.index)[-1].P_b}#",
+            r.index, r.M2.value, f"{two_primorial[r.index - 1].P_b}#",
             scaffold.round_display(r.avg_1), scaffold.round_display(r.avg_2),
             round(r.ratio, 4), r.T_ratio, round(r.pf_ratio, 4),
         ])

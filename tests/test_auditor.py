@@ -46,3 +46,11 @@ def test_report_failure_marking():
     rep = auditor.ClaimReport("X", "scope", auditor.PASS)
     rep.counterexamples.append("bad")
     assert rep.finish().status == auditor.FAIL
+
+
+def test_audit_all_is_exported():
+    import pslb
+
+    reports = pslb.audit_all("small")
+    assert [r.claim_id for r in reports] == auditor.CLAIM_IDS
+    assert all(isinstance(r, pslb.ClaimReport) for r in reports)

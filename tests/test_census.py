@@ -13,6 +13,7 @@ from pslb.census import (
     seed_multiple_level_counts,
     totient_of_primorial,
     true_twin_count,
+    twin_masks,
 )
 from pslb.errors import BudgetError, DomainError
 from pslb.primes import nth_primorial, primes_up_to
@@ -158,3 +159,44 @@ def test_figure1_series_totals():
     assert windows[-1].window_end == 30030
     # all windows except possibly the last have the full width
     assert {w.window_length for w in windows[:-1]} == {346}
+
+
+# -- census masks against the arange formulas they replace --------------------
+
+
+def arange_new_composites(p):
+    z = np.arange(1, p.value + 1, dtype=np.int64)
+    mask = z % 2 == 1
+    for q in p.prime_factors[1:]:
+        mask &= z % q != 0
+    mask &= ~primes_up_to(p.value).prime_mask()[1:]
+    mask &= z > 1
+    return z[mask]
+
+
+def arange_twin_masks(limit, core, prime_value_mask):
+    z = np.arange(1, limit + 1, dtype=np.int64)
+    pt = (z % 2 == 1) & (z >= 5)
+    for q in core[1:]:
+        pt &= (z % q != 0) & (z % q != 2)
+    partner_prime = np.zeros(limit, dtype=bool)
+    partner_prime[2:] = prime_value_mask[z[:-2]]
+    return pt, pt & prime_value_mask[z] & partner_prime
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_new_composites_match_arange_formula(k):
+    prim = nth_primorial(k)
+    members = new_composites(prim).members
+    expected = arange_new_composites(prim)
+    assert members.dtype == expected.dtype
+    assert np.array_equal(members, expected)
+
+
+@pytest.mark.parametrize("limit", (1, 2, 3, 4, 5, 6, 7, 30, 31, 2310, 30030))
+def test_twin_masks_match_arange_formula(limit):
+    core = nth_primorial(6).prime_factors
+    value_mask = primes_up_to(30030).prime_mask()
+    for got, want in zip(twin_masks(limit, core, value_mask),
+                         arange_twin_masks(limit, core, value_mask)):
+        assert np.array_equal(got, want)

@@ -191,3 +191,20 @@ def test_precision_flag(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[0][6] == "0.69"
+
+
+def test_negative_precision_exits_1(capsys):
+    code, out, err = run(capsys, "--precision", "-1", "table", "17")
+    assert code == 1
+    assert out == ""
+    assert "precision" in err
+
+
+def test_cache_verify_truncated_header(capsys, tmp_path):
+    path = tmp_path / "cache.sieve"
+    code, _, _ = run(capsys, "cache", "build", "--limit", "1000", "--out-path", str(path))
+    assert code == 0
+    path.write_bytes(path.read_bytes()[:8])
+    code, _, err = run(capsys, "cache", "verify", str(path))
+    assert code == 1
+    assert "bad sieve cache" in err

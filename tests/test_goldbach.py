@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslb import goldbach
 from pslb.errors import BudgetError, DomainError
 from pslb.goldbach import (
     exact_potential_goldbach_count,
@@ -15,7 +16,13 @@ from pslb.goldbach import (
     residue_addition_table,
     mismatch_violations,
 )
-from pslb.primes import nth_primorial, primes_up_to, seed_prime_set, smallest_primorial_at_least
+from pslb.primes import (
+    SeedPrimeSet,
+    nth_primorial,
+    primes_up_to,
+    seed_prime_set,
+    smallest_primorial_at_least,
+)
 
 
 def brute_pairs(E):
@@ -173,3 +180,50 @@ def test_residue_triples():
     assert triples[3] == (7, 5, 0, 5)  # E=68, p1=7, p2=61 under seed 7
     for q, r_e, r1, r2 in triples:
         assert (r1 + r2) % q == r_e
+
+
+# -- the seed-multiple sieve against the scalar residue rule ------------------
+
+
+def scalar_mismatch_filter(E, seeds):
+    """The residue rule read literally: p1 < E/2 shares no class with E."""
+    table = primes_up_to(E)
+    out = [int(p1) for p1 in table.ordered_primes
+           if 2 * p1 < E and all(p1 % q != E % q for q in seeds)]
+    if table.is_prime(E // 2):
+        out.append(E // 2)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=4, max_value=100_000).map(lambda h: 2 * h))
+def test_mismatch_filter_matches_scalar_rule(E):
+    sps = seed_prime_set(smallest_primorial_at_least(E))
+    assert mismatch_filter(E, sps) == scalar_mismatch_filter(E, sps.all_seeds)
+
+
+def test_mismatch_filter_matches_scalar_rule_small_range():
+    for E in range(8, 1000, 2):
+        sps = seed_prime_set(smallest_primorial_at_least(E))
+        assert mismatch_filter(E, sps) == scalar_mismatch_filter(E, sps.all_seeds), E
+
+
+def test_violation_scan_matches_scalar_rule_with_short_seed_sets(monkeypatch):
+    # With the full seed sets no violation exists; cutting every seed set
+    # short lets composite partners through, so the gather is exercised.
+    def short_seed_set(prim):
+        sps = seed_prime_set(prim)
+        return SeedPrimeSet(sps.primorial, sps.core, sps.non_core[:2])
+
+    monkeypatch.setattr(goldbach, "seed_prime_set", short_seed_set)
+    upper = 3000
+    table = primes_up_to(upper)
+    brute = []
+    for E in range(6, upper + 1, 2):
+        prim = smallest_primorial_at_least(E)
+        seeds = short_seed_set(prim).all_seeds if prim.value >= 30 else (2,)
+        brute += [(E, p1) for p1 in scalar_mismatch_filter(E, seeds)
+                  if not table.is_prime(E - p1)]
+    found = mismatch_violations(upper)
+    assert found == brute
+    assert len(found) > 100

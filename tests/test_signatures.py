@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb.errors import DomainError
+from pslb.errors import BudgetError, DomainError
 from pslb.primes import nth_primorial, primes_up_to, seed_prime_set
 from pslb.signatures import (
     VERDICT_CERTIFIED_PRIME,
@@ -19,6 +19,7 @@ from pslb.signatures import (
     potential_prime_mask,
     potential_twin_mask,
     residue_cycle,
+    residue_sieve,
     signature,
 )
 
@@ -153,3 +154,71 @@ def test_small_potential_primes_are_clean():
         if c in sps.non_core:
             continue
         assert all(c % q for q in sps.non_core), c
+
+
+# -- the residue-sieve kernel against the scalar rules it replaces ------------
+
+MASK_LIMITS = (1, 2, 3, 4, 5, 6, 7, 30, 31, 2310, 30030)
+MASK_CORES = ((2,), (2, 3), (2, 3, 5), (2, 3, 5, 7, 11, 13), (3, 5, 7), SEEDS_2310)
+
+
+def arange_potential_prime(limit, core):
+    z = np.arange(1, limit + 1, dtype=np.int64)
+    mask = z % 2 == 1
+    for p in core:
+        if p != 2:
+            mask &= z % p != 0
+    return mask
+
+
+def arange_potential_twin(limit, core):
+    z = np.arange(1, limit + 1, dtype=np.int64)
+    mask = (z % 2 == 1) & (z >= 5)
+    for p in core:
+        if p != 2:
+            r = z % p
+            mask &= (r != 0) & (r != 2 % p)
+    return mask
+
+
+def arange_certified(limit, seeds):
+    return arange_potential_prime(limit, seeds) & (np.arange(1, limit + 1) > 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-500, max_value=5000),
+    st.integers(min_value=-1, max_value=400),
+    st.dictionaries(
+        st.integers(min_value=1, max_value=60),
+        st.lists(st.integers(min_value=-100, max_value=100), max_size=4),
+        max_size=6,
+    ),
+)
+def test_residue_sieve_matches_brute_force(lo, width, forbidden):
+    hi = lo + width - 1
+    keep = residue_sieve(lo, hi, forbidden)
+    brute = [
+        all(z % q not in {r % q for r in rs} for q, rs in forbidden.items())
+        for z in range(lo, hi + 1)
+    ]
+    assert keep.dtype == bool
+    assert keep.tolist() == brute
+
+
+def test_residue_sieve_rejects_bad_modulus():
+    with pytest.raises(DomainError):
+        residue_sieve(1, 10, {0: (0,)})
+
+
+@pytest.mark.parametrize("core", MASK_CORES)
+@pytest.mark.parametrize("limit", MASK_LIMITS)
+def test_masks_match_arange_formulas(limit, core):
+    assert np.array_equal(potential_prime_mask(limit, core), arange_potential_prime(limit, core))
+    assert np.array_equal(potential_twin_mask(limit, core), arange_potential_twin(limit, core))
+    assert np.array_equal(certified_mask(limit, core), arange_certified(limit, core))
+
+
+def test_seed_check_budget():
+    with pytest.raises(BudgetError):
+        signature(5, (2, 100_000_007))
