@@ -72,8 +72,12 @@ def _audit_t1(cfg) -> ClaimReport:
     limit = cfg["t1_limit"]
     prim = smallest_primorial_at_least(limit)
     seeds = seed_prime_set(prim).all_seeds
-    z = np.arange(1, limit + 1, dtype=np.int64)
-    residues = z[:, None] % np.array(seeds, dtype=np.int64)[None, :]
+    # One column per seed, in the smallest dtype that holds a residue: np.unique
+    # over rows copies and sorts the whole matrix, so its width sets T1's memory.
+    z = np.arange(1, limit + 1)
+    residues = np.empty((limit, len(seeds)), dtype=np.min_scalar_type(max(seeds) - 1))
+    for col, q in enumerate(seeds):
+        residues[:, col] = z % q
     unique_rows = len(np.unique(residues, axis=0))
     rep = ClaimReport("T1", f"all integers 1..{limit} under seed primes of {prim.value}", PASS)
     if unique_rows != limit:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,8 +20,10 @@ from .errors import DomainError, PrimorialOverflowError
 U64_MAX = 2**64 - 1
 
 CACHE_MAGIC = b"PSLB"
-CACHE_VERSION = 1
-_CACHE_HEADER = 13  # magic, version byte, little-endian u64 limit
+CACHE_VERSION = 2
+# magic, version byte, little-endian u64 limit; v2 then adds a u32 CRC-32 of
+# the limit bytes and the bitset body
+_CACHE_HEADER = {1: 13, 2: 17}
 
 DEFAULT_SEGMENT = 1 << 20
 
@@ -164,34 +167,44 @@ class PrimeTable:
     # -- cache file ----------------------------------------------------------
 
     def save(self, path) -> None:
-        packed = np.packbits(self._odd)
+        limit = struct.pack("<Q", self.limit)
+        body = np.packbits(self._odd).tobytes()
         with open(path, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(struct.pack("<B", CACHE_VERSION))
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(packed.tobytes())
+            fh.write(limit)
+            fh.write(struct.pack("<I", zlib.crc32(body, zlib.crc32(limit))))
+            fh.write(body)
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
+        """Read a v2 (checksummed) or v1 cache file; DomainError if it is corrupt."""
         with open(path, "rb") as fh:
             blob = fh.read()
-        if len(blob) < _CACHE_HEADER:
-            raise DomainError(
-                f"bad sieve cache: expected a {_CACHE_HEADER}-byte header, found {len(blob)} bytes"
-            )
+        if len(blob) < 5:
+            raise DomainError(f"bad sieve cache: file is only {len(blob)} bytes")
         if blob[:4] != CACHE_MAGIC:
             raise DomainError("bad sieve cache: wrong magic bytes")
-        (version,) = struct.unpack("<B", blob[4:5])
-        if version != CACHE_VERSION:
+        version = blob[4]
+        header = _CACHE_HEADER.get(version)
+        if header is None:
             raise DomainError(f"bad sieve cache: unsupported version {version}")
+        if len(blob) < header:
+            raise DomainError(
+                f"bad sieve cache: expected a {header}-byte header, found {len(blob)} bytes"
+            )
         (limit,) = struct.unpack("<Q", blob[5:13])
         size = (limit + 1) // 2
         expected = (size + 7) // 8
-        body = blob[_CACHE_HEADER:]
+        body = blob[header:]
         if len(body) != expected:
             raise DomainError(
                 f"bad sieve cache: expected {expected} bitset bytes, found {len(body)}"
             )
+        if version == 2:
+            (stored,) = struct.unpack("<I", blob[13:17])
+            if zlib.crc32(body, zlib.crc32(blob[5:13])) != stored:
+                raise DomainError("bad sieve cache: checksum mismatch")
         flags = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:size].astype(bool)
         return cls(limit, _odd_flags=flags)
 

@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import DomainError
-from .primes import Primorial, is_prime, nth_primorial, primes_up_to
+import numpy as np
 
-PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000  # covers 2,724,079
+from .errors import BudgetError, DomainError
+from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, nth_primorial, primes_up_to
+
+PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000  # covers 2,724,109, the largest row bound
 
 # Candidate count on an explicit factor list (the scaffold's modulus may
 # exceed 64 bits, so its T is never needed as an integer here).
@@ -22,29 +25,90 @@ def _T(factors) -> int:
     return out
 
 
-def _primes_in_range(lo: int, hi: int) -> list[int]:
-    table = primes_up_to(max(hi, 2))
-    arr = table.ordered_primes
-    return [int(q) for q in arr[(arr >= lo) & (arr <= hi)]]
+@dataclass(frozen=True)
+class _LogPrefix:
+    """The primes up to a limit with exact prefix sums of log1p(-2/q).
+
+    Every term log1p(-2/q) over the odd primes is an exact multiple of
+    2**-shift (the ulp of the smallest term). The scaled magnitudes are split
+    into two exact int64 limbs, above and below 2**32, and each limb column is
+    prefix-summed; up to the primality budget the sums stay below 2**56. A
+    slice sum is therefore an exact integer, and dividing it by 2**shift
+    rounds once, to the same float that math.fsum of the slice returns.
+    Entry k of each prefix is the sum over primes[:k]; prime 2 adds nothing.
+    """
+
+    primes: np.ndarray
+    shift: int
+    high: np.ndarray
+    low: np.ndarray
+
+    def log_sum(self, i: int, j: int) -> float:
+        """Correctly rounded sum of log1p(-2/q) over primes[i:j], i >= 1."""
+        exact = ((int(self.high[j]) - int(self.high[i])) << 32) + int(self.low[j]) - int(self.low[i])
+        return -exact / (1 << self.shift)
+
+
+@lru_cache(maxsize=1)
+def _build_log_prefix(limit: int) -> _LogPrefix:
+    primes = primes_up_to(limit).ordered_primes
+    odd = primes[1:]
+    terms = np.fromiter(map(math.log1p, memoryview(-2.0 / odd)), dtype=np.float64, count=len(odd))
+    shift = 53 - math.frexp(float(terms[-1]))[1]
+    scaled = np.ldexp(-terms, shift - 32)
+    high = np.floor(scaled)
+    low = np.ldexp(scaled - high, 32)
+    zeros = np.zeros(2, dtype=np.int64)
+    return _LogPrefix(
+        primes, shift,
+        np.concatenate([zeros, np.cumsum(high.astype(np.int64))]),
+        np.concatenate([zeros, np.cumsum(low.astype(np.int64))]),
+    )
+
+
+def _log_prefix(limit: int) -> _LogPrefix:
+    """The shared table covering `limit`: sieved to PRODUCT_FACTOR_PRIME_LIMIT,
+    doubled (up to the primality budget) as often as `limit` needs, so calls
+    past the default limit re-sieve only when they cross a doubling."""
+    size = PRODUCT_FACTOR_PRIME_LIMIT
+    while size < limit:
+        size *= 2
+    return _build_log_prefix(max(limit, min(size, DEFAULT_PRIMALITY_BUDGET)))
+
+
+def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
+    """The shared table and the index range of the primes in [from_prime, to_prime]."""
+    if to_prime > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(
+            f"product factor bound {to_prime} exceeds the primality budget {DEFAULT_PRIMALITY_BUDGET}"
+        )
+    if from_prime > to_prime:
+        raise DomainError(f"need from_prime <= to_prime, got ({from_prime}, {to_prime})")
+    table = _log_prefix(to_prime)
+    i = int(np.searchsorted(table.primes, from_prime, side="left"))
+    j = int(np.searchsorted(table.primes, to_prime, side="right"))
+    if i == j or table.primes[i] != from_prime or table.primes[j - 1] != to_prime:
+        raise DomainError(f"bounds must be prime, got ({from_prime}, {to_prime})")
+    return table, i, j
 
 
 def product_factor(from_prime: int, to_prime: int) -> float:
     """Product of (q - 2)/q over primes q in [from_prime, to_prime].
 
-    Accumulated as a compensated log sum so six printed decimals are stable.
+    exp of the correctly rounded sum of log1p(-2/q), read from the shared
+    exact prefix table; the factor for q = 2 is 0.
     """
-    if not is_prime(from_prime) or not is_prime(to_prime):
-        raise DomainError(f"bounds must be prime, got ({from_prime}, {to_prime})")
-    if from_prime > to_prime:
-        raise DomainError(f"need from_prime <= to_prime, got ({from_prime}, {to_prime})")
-    qs = _primes_in_range(from_prime, to_prime)
-    return math.exp(math.fsum(math.log1p(-2.0 / q) for q in qs))
+    table, i, j = _prime_span(from_prime, to_prime)
+    if from_prime == 2:
+        return 0.0
+    return math.exp(table.log_sum(i, j))
 
 
 def product_factor_fraction(from_prime: int, to_prime: int) -> Fraction:
     """Exact rational product factor; for audit use on short prime ranges."""
+    table, i, j = _prime_span(from_prime, to_prime)
     out = Fraction(1)
-    for q in _primes_in_range(from_prime, to_prime):
+    for q in table.primes[i:j].tolist():
         out *= Fraction(q - 2, q)
     return out
 
@@ -64,13 +128,16 @@ def round_display(x: float) -> int:
 
 
 def _prev_prime(n: int) -> int:
-    table = primes_up_to(max(n, 2))
-    return table.largest_prime_at_most(n)
+    primes = _log_prefix(n).primes
+    return int(primes[np.searchsorted(primes, n, side="right") - 1])
 
 
 def _next_prime(n: int) -> int:
-    table = primes_up_to(2 * n + 10)
-    return table.smallest_prime_above(n)
+    primes = _log_prefix(n + 1).primes
+    i = np.searchsorted(primes, n, side="right")
+    if i == len(primes):  # past the shared table; Bertrand: a prime lies in (n, 2n]
+        primes = _log_prefix(2 * n).primes
+    return int(primes[i])
 
 
 @dataclass(frozen=True)

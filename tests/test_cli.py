@@ -179,6 +179,44 @@ def test_cache_verify_corrupt(capsys, tmp_path):
     assert "magic" in err
 
 
+# printed product-factor and average cells of the scaffold tables, per column
+SCAFFOLD_GOLDEN = {
+    "17": {
+        "product_factor": ["0.692308", "0.436373", "0.307356", "0.218553", "0.164156",
+                           "0.126197", "0.098251", "0.079161", "0.064543"],
+        "avg_T_M_in_N": ["10", "59", "456", "4868", "62162", "1003543", "21095426",
+                         "492902698", "14065843393"],
+        "reciprocal_product_factor": ["1.44", "2.29", "3.25", "4.58", "6.09", "7.92",
+                                      "10.18", "12.63", "15.49"],
+    },
+    "19": {
+        "product_factor": ["0.357032", "0.26007", "0.192841", "0.146876", "0.115224",
+                           "0.091475", "0.074054", "0.061054"],
+        "avg_T_A_in_C": ["5", "35", "286", "3272", "43632", "727428", "15900087", "380157930"],
+    },
+    "20": {
+        "avg_T_A_in_C": ["5", "35", "286", "3272", "43632", "727428", "15900087", "380157930"],
+        "avg_T_B_in_C": ["59", "456", "4868", "62162", "1003543", "21095426", "492902698",
+                         "14065843393"],
+    },
+    "21": {
+        "product_factor": ["0.692308", "0.436373", "0.307356", "0.218553", "0.164156",
+                           "0.126197", "0.098251", "0.079161", "0.064543"],
+        "avg_T_A_in_B": ["10", "59", "456", "4868", "62162", "1003543", "21095426",
+                         "492902698", "14065843393"],
+    },
+}
+
+
+@pytest.mark.parametrize("number", sorted(SCAFFOLD_GOLDEN))
+def test_scaffold_table_cells_golden(capsys, number):
+    code, out, _ = run(capsys, "table", number)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    for column, cells in SCAFFOLD_GOLDEN[number].items():
+        assert [r[column] for r in rows] == cells, column
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "t9.csv"
     code, _, _ = run(capsys, "table", "9", "--out", str(path))
@@ -198,6 +236,19 @@ def test_negative_precision_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "precision" in err
+
+
+def test_cache_verify_flipped_body_byte(capsys, tmp_path):
+    path = tmp_path / "cache.sieve"
+    code, _, _ = run(capsys, "cache", "build", "--limit", "1000", "--out-path", str(path))
+    assert code == 0
+    blob = bytearray(path.read_bytes())
+    blob[20] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "cache", "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert "checksum" in err
 
 
 def test_cache_verify_truncated_header(capsys, tmp_path):

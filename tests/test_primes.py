@@ -1,4 +1,6 @@
 """Sieve, primorial and seed-partition tests against brute-force oracles."""
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,8 +125,34 @@ def test_cache_header_layout(tmp_path):
     PrimeTable(1000).save(path)
     blob = path.read_bytes()
     assert blob[:4] == b"PSLB"
-    assert blob[4] == 1
+    assert blob[4] == 2
     assert int.from_bytes(blob[5:13], "little") == 1000
+    assert int.from_bytes(blob[13:17], "little") == zlib.crc32(blob[17:], zlib.crc32(blob[5:13]))
+    assert len(blob) == 17 + 63
+
+
+def test_cache_reads_v1(tmp_path):
+    # v1: the same header without the checksum field
+    table = PrimeTable(1000)
+    path = tmp_path / "p.sieve"
+    path.write_bytes(b"PSLB" + bytes([1]) + (1000).to_bytes(8, "little")
+                     + np.packbits(table.odd_prime_mask()).tobytes())
+    loaded = PrimeTable.load(path)
+    assert loaded.limit == 1000 and loaded.prime_count == 168
+    assert np.array_equal(loaded.odd_prime_mask(), table.odd_prime_mask())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cache_single_byte_flip_detected(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("flip") / "p.sieve"
+    PrimeTable(1000).save(path)
+    blob = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(5, len(blob) - 1), label="byte")
+    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DomainError):
+        PrimeTable.load(path)
 
 
 @pytest.mark.parametrize("mutate", [

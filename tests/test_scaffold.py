@@ -4,9 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pslb.errors import DomainError
+from pslb.errors import BudgetError, DomainError
+from pslb.primes import primes_up_to
 from pslb.scaffold import (
+    _next_prime,
+    _prev_prime,
     avg_solutions_in_cycle,
     build_table17,
     build_table18,
@@ -40,10 +45,65 @@ def test_product_factor_against_exact_fractions():
 
 
 def test_product_factor_validation():
-    with pytest.raises(DomainError):
-        product_factor(4, 13)
-    with pytest.raises(DomainError):
-        product_factor(13, 11)
+    for fn in (product_factor, product_factor_fraction):
+        with pytest.raises(DomainError):
+            fn(4, 13)
+        with pytest.raises(DomainError):
+            fn(13, 11)
+
+
+def fsum_product_factor(lo: int, hi: int) -> float:
+    """The summation the prefix table must reproduce bit for bit."""
+    qs = [q for q in primes_up_to(hi).ordered_primes.tolist() if lo <= q <= hi]
+    return math.exp(math.fsum(math.log1p(-2.0 / q) for q in qs))
+
+
+ORACLE_PRIMES = primes_up_to(6_000_000).ordered_primes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, len(ORACLE_PRIMES) - 1), st.integers(1, len(ORACLE_PRIMES) - 1))
+def test_product_factor_equals_fsum_oracle(i, j):
+    lo, hi = sorted((int(ORACLE_PRIMES[i]), int(ORACLE_PRIMES[j])))
+    assert product_factor(lo, hi) == fsum_product_factor(lo, hi)
+
+
+# 2799991 and 2800001 are the primes on either side of PRODUCT_FACTOR_PRIME_LIMIT
+@pytest.mark.parametrize("lo, hi", [(3, 3), (3, 2799991), (3, 2800001), (2799991, 2800001)])
+def test_product_factor_equals_fsum_oracle_at_table_edge(lo, hi):
+    assert product_factor(lo, hi) == fsum_product_factor(lo, hi)
+
+
+def test_prev_and_next_prime_across_table_edge():
+    assert _prev_prime(2_800_000) == 2799991
+    assert _next_prime(2799991) == 2800001  # past the default shared table
+    assert _next_prime(13) == 17 and _prev_prime(13) == 13
+
+
+# product_factor of each table-17/21 and table-19/20 row, as float hex
+TABLE17_PF_BITS = ["0x1.6276276276276p-1", "0x1.bed8813861932p-2", "0x1.3abb73cdedfd2p-2",
+                   "0x1.bf98bc66206bep-3", "0x1.5031080fd7c0fp-3", "0x1.0273bdfdc58b7p-3",
+                   "0x1.927006f4f09bap-4", "0x1.443ec05f8060ap-4", "0x1.085e61543bfd1p-4"]
+TABLE19_PF_BITS = ["0x1.6d99de16db786p-2", "0x1.0a4fd82466e9fp-2", "0x1.8af02dc38604fp-3",
+                   "0x1.2ccd8df33a4e4p-3", "0x1.d7f4bf1d52791p-4", "0x1.76aeebfe87bd0p-4",
+                   "0x1.2f537a27caad0p-4", "0x1.f4282dc1f4f37p-5"]
+
+
+def test_table_product_factors_pinned_bit_for_bit():
+    assert [r.product_factor.hex() for r in build_table17(9)] == TABLE17_PF_BITS
+    assert [r.product_factor.hex() for r in build_table21(9)] == TABLE17_PF_BITS
+    assert [r.product_factor.hex() for r in build_table19_20(8)] == TABLE19_PF_BITS
+
+
+@pytest.mark.parametrize("hi", [2, 3, 13, 173])
+def test_product_factor_from_two_is_zero(hi):
+    assert product_factor(2, hi) == float(product_factor_fraction(2, hi)) == 0.0
+
+
+@pytest.mark.parametrize("fn", [product_factor, product_factor_fraction])
+def test_product_factor_bound_over_budget(fn):
+    with pytest.raises(BudgetError):
+        fn(3, 100_000_007)
 
 
 def test_avg_and_rounding():
