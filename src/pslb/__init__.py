@@ -41,7 +41,9 @@ from .primes import (
     is_prime,
     largest_primorial_at_most,
     max_seed_prime_for,
+    next_prime,
     nth_primorial,
+    prev_prime,
     primes_up_to,
     seed_prime_set,
     sieve_odd_flags,
@@ -81,7 +83,7 @@ __all__ = [
     "exact_potential_goldbach_count", "figure1_series", "goldbach_pairs",
     "goldbach_solve", "is_potential_twin", "is_prime", "largest_primorial_at_most",
     "max_seed_prime_for", "mismatch_filter", "mod3_rule", "new_composites",
-    "nth_primorial", "pair_count_table", "potential_solutions_T",
+    "next_prime", "nth_primorial", "pair_count_table", "potential_solutions_T", "prev_prime",
     "prime_count_via_eq1", "prime_count_via_eq3", "primes_up_to", "product_factor",
     "product_factor_fraction", "residue_addition_table", "residue_cycle",
     "residue_sieve", "round_display", "seed_multiple_level_counts", "seed_prime_set",

@@ -111,14 +111,15 @@ def _audit_t2(cfg) -> ClaimReport:
 
 
 def _spf_array(limit: int) -> np.ndarray:
+    table = primes_up_to(limit)
     spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in primes_up_to(limit).ordered_primes:
+    for p in table.ordered_primes:
         p = int(p)
         if p * p > limit:
             break
         sl = spf[p * p :: p]
         sl[sl == 0] = p
-    primes_mask = primes_up_to(limit).prime_mask()
+    primes_mask = table.prime_mask()
     spf[primes_mask] = np.flatnonzero(primes_mask)
     # composites q*r with q > sqrt(limit) cannot occur; remaining zeros are 0,1
     return spf
@@ -391,10 +392,10 @@ def _audit_p6(cfg) -> ClaimReport:
     rep = ClaimReport("P6", f"goldbach_solve for all even 6 <= E <= {upper}", PASS)
     cases = {"case-1": 0, "case-2a": 0, "case-2b": 0}
     fallbacks = 0
+    table = primes_up_to(upper)
     for E in range(6, upper + 1, 2):
         sol = goldbach.goldbach_solve(E)
         p1, p2 = sol.pair.p1, sol.pair.p2
-        table = primes_up_to(upper)
         if p1 + p2 != E or not (table.is_prime(p1) and table.is_prime(p2)):
             rep.counterexamples.append(f"E={E}")
         cases[sol.case] += 1

@@ -218,7 +218,7 @@ def _cmd_audit(args) -> tables.TableData:
 
 def _cmd_cache(args) -> tables.TableData:
     if args.action == "build":
-        table = PrimeTable(args.limit, threads=args.threads)
+        table = PrimeTable(args.limit)
         table.save(args.cache_path)
         return tables.TableData(
             0, "sieve cache written",
@@ -249,8 +249,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--sieve-budget", type=int, default=d,
                         help=f"largest primorial the factor sieves may expand "
                              f"(default: {DEFAULT_FACTOR_BUDGET}; env {ENV_SIEVE_BUDGET})")
-    parser.add_argument("--threads", type=int, default=d if suppress else 1,
-                        help="worker threads for sieve construction (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

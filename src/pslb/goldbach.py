@@ -12,6 +12,8 @@ from .primes import (
     DEFAULT_PRIMALITY_BUDGET,
     SeedPrimeSet,
     largest_primorial_at_most,
+    next_prime,
+    prev_prime,
     primes_up_to,
     seed_prime_set,
     smallest_primorial_at_least,
@@ -225,9 +227,8 @@ def goldbach_solve(E: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> GoldbachSo
         return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2a")
     # Scaffold existence path, anchored at the largest primorial <= E.
     A = largest_primorial_at_most(E)
-    root = math.isqrt(A.value)
-    P_B = primes_up_to(max(root, 2)).largest_prime_at_most(root)
-    P_Z = primes_up_to(2 * P_B + 10).smallest_prime_above(P_B)
+    P_B = prev_prime(math.isqrt(A.value))
+    P_Z = next_prime(P_B)
     certified = P_Z * P_Z > A.value
     if passing:
         p1 = passing[0]

@@ -1,21 +1,21 @@
 """Prime generation, primorials and the seed-prime partition.
 
-The sieve stores one flag per odd integer and is built segment by segment;
-segment boundaries never change the result, so any worker count produces
-bit-identical tables.
+The sieve stores one flag per odd integer. One module-level table serves
+every prime lookup: `primes_up_to`, `prev_prime` and `next_prime` read it,
+and it is re-sieved, at least doubled and at most to the primality budget,
+only when a limit past its end is asked for.
 """
 from __future__ import annotations
 
 import math
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PrimorialOverflowError
+from .errors import BudgetError, DomainError, PrimorialOverflowError
 
 U64_MAX = 2**64 - 1
 
@@ -24,8 +24,6 @@ CACHE_VERSION = 2
 # magic, version byte, little-endian u64 limit; v2 then adds a u32 CRC-32 of
 # the limit bytes and the bitset body
 _CACHE_HEADER = {1: 13, 2: 17}
-
-DEFAULT_SEGMENT = 1 << 20
 
 DEFAULT_PRIMALITY_BUDGET = 100_000_000
 
@@ -46,74 +44,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _simple_odd_sieve(limit: int) -> np.ndarray:
-    """Boolean flags for odd integers 1,3,5,... up to limit."""
-    size = (limit + 1) // 2
-    flags = np.ones(size, dtype=bool)
+def sieve_odd_flags(limit: int) -> np.ndarray:
+    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(f"sieve limit {limit} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
+    flags = np.ones((limit + 1) // 2, dtype=bool)
     flags[0] = False  # 1 is not prime
     for p in range(3, math.isqrt(limit) + 1, 2):
         if flags[p // 2]:
-            start = p * p
-            flags[start // 2 :: p] = False
+            flags[p * p // 2 :: p] = False
     return flags
 
 
-def _mark_segment(flags: np.ndarray, lo_i: int, hi_i: int, odd_primes: np.ndarray) -> None:
-    """Clear composite flags for odd values 2*lo_i+1 .. 2*(hi_i-1)+1."""
-    lo_v = 2 * lo_i + 1
-    hi_v = 2 * (hi_i - 1) + 1
-    for p in odd_primes:
-        p = int(p)
-        start = max(p * p, ((lo_v + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start > hi_v:
-            continue
-        flags[start // 2 : hi_i : p] = False
-
-
-def sieve_odd_flags(limit: int, segment_size: int = DEFAULT_SEGMENT, threads: int = 1) -> np.ndarray:
-    """Odd-only prime flags up to limit, segment-partitioned.
-
-    Segments are disjoint index ranges, so parallel marking is race-free and
-    the output does not depend on segment size or thread count.
-    """
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    root = math.isqrt(limit)
-    if limit <= max(root, 3) ** 2 or limit <= segment_size * 2:
-        return _simple_odd_sieve(limit)
-    base = _simple_odd_sieve(root)
-    odd_primes = 2 * np.flatnonzero(base) + 1
-    size = (limit + 1) // 2
-    flags = np.ones(size, dtype=bool)
-    flags[0] = False
-    base_size = (root + 1) // 2
-    flags[:base_size] = base
-    spans = [
-        (lo, min(lo + segment_size, size))
-        for lo in range(base_size, size, segment_size)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: _mark_segment(flags, s[0], s[1], odd_primes), spans))
-    else:
-        for lo, hi in spans:
-            _mark_segment(flags, lo, hi, odd_primes)
-    return flags
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class PrimeTable:
-    """Queryable set of primes up to an inclusive limit."""
+    """Queryable set of primes up to an inclusive limit; its arrays are read-only."""
 
-    def __init__(self, limit: int, segment_size: int = DEFAULT_SEGMENT, threads: int = 1,
-                 _odd_flags: np.ndarray | None = None):
+    def __init__(self, limit: int, _odd_flags: np.ndarray | None = None):
         if limit < 2:
             raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
         self.limit = limit
         if _odd_flags is None:
-            _odd_flags = sieve_odd_flags(limit, segment_size=segment_size, threads=threads)
-        self._odd = _odd_flags
+            _odd_flags = sieve_odd_flags(limit)
+        self._odd = _read_only(_odd_flags)
         self._primes: np.ndarray | None = None
 
     def is_prime(self, n: int) -> bool:
@@ -129,8 +88,7 @@ class PrimeTable:
     @property
     def ordered_primes(self) -> np.ndarray:
         if self._primes is None:
-            odd = 2 * np.flatnonzero(self._odd) + 1
-            self._primes = np.concatenate([[2], odd]) if self.limit >= 2 else odd
+            self._primes = _read_only(np.concatenate([[2], 2 * np.flatnonzero(self._odd) + 1]))
         return self._primes
 
     @property
@@ -147,22 +105,12 @@ class PrimeTable:
         mask[self.ordered_primes] = True
         return mask
 
-    def largest_prime_at_most(self, n: int) -> int:
-        if n > self.limit:
-            raise DomainError(f"{n} exceeds table limit {self.limit}")
-        while n >= 2:
-            if self.is_prime(n):
-                return n
-            n -= 1
-        raise DomainError("no prime at or below 1")
-
-    def smallest_prime_above(self, n: int) -> int:
-        n += 1
-        while n <= self.limit:
-            if self.is_prime(n):
-                return n
-            n += 1
-        raise DomainError(f"no prime above {n - 1} within table limit {self.limit}")
+    def _view(self, limit: int) -> "PrimeTable":
+        """The table up to limit <= self.limit, as slices of this one's arrays."""
+        view = PrimeTable(limit, _odd_flags=self._odd[: (limit + 1) // 2])
+        primes = self.ordered_primes
+        view._primes = primes[: np.searchsorted(primes, limit, side="right")]
+        return view
 
     # -- cache file ----------------------------------------------------------
 
@@ -209,10 +157,55 @@ class PrimeTable:
         return cls(limit, _odd_flags=flags)
 
 
+# The shared table; it starts at _TABLE_FLOOR so small limits sieve once.
+# Views cached by primes_up_to keep the table they were cut from alive. Each
+# growth at least doubles the limit up to the budget, so all older tables
+# together stay smaller than twice the current one (at the cap, 2**16 + ... +
+# 2**26 ~ 1.34e8 against 1e8).
+_TABLE_FLOOR = 1 << 16
+_table: PrimeTable | None = None
+
+
+def _shared_table(limit: int) -> PrimeTable:
+    """The shared table, re-sieved first if it ends below limit."""
+    global _table
+    if _table is None or _table.limit < limit:
+        grown = 2 * _table.limit if _table is not None else _TABLE_FLOOR
+        _table = PrimeTable(max(limit, min(grown, DEFAULT_PRIMALITY_BUDGET)))
+    return _table
+
+
 @lru_cache(maxsize=32)
-def primes_up_to(limit: int, threads: int = 1) -> PrimeTable:
-    """All primes up to limit (inclusive)."""
-    return PrimeTable(limit, threads=threads)
+def primes_up_to(limit: int) -> PrimeTable:
+    """All primes up to limit (inclusive): a read-only view of the shared table."""
+    if limit < 2:
+        raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
+    return _shared_table(limit)._view(limit)
+
+
+def prev_prime(n: int) -> int:
+    """Largest prime <= n."""
+    if n < 2:
+        raise DomainError(f"no prime at or below {n}")
+    primes = _shared_table(n).ordered_primes
+    return int(primes[np.searchsorted(primes, n, side="right") - 1])
+
+
+def next_prime(n: int) -> int:
+    """Smallest prime > n.
+
+    The shared table grows only when it holds no prime above n, and then to
+    2n (by Bertrand's postulate a prime lies in (n, 2n]), or to the primality
+    budget if that comes first.
+    """
+    primes = _shared_table(2).ordered_primes
+    i = int(np.searchsorted(primes, n, side="right"))
+    if i == len(primes):
+        primes = _shared_table(max(n + 1, min(2 * n, DEFAULT_PRIMALITY_BUDGET))).ordered_primes
+        i = int(np.searchsorted(primes, n, side="right"))
+        if i == len(primes):
+            raise BudgetError(f"no prime above {n} within primality budget {DEFAULT_PRIMALITY_BUDGET}")
+    return int(primes[i])
 
 
 @dataclass(frozen=True)
@@ -234,13 +227,9 @@ class Primorial:
         return f"{self.largest_factor}#"
 
 
-def _consecutive_primes():
-    p = 2
-    while True:
-        yield p
-        p += 1
-        while not is_prime(p):
-            p += 1
+def _primorial_primes() -> list[int]:
+    # 53# > 2**64, so these cover every 64-bit primorial and its overflow check
+    return primes_up_to(53).ordered_primes.tolist()
 
 
 def nth_primorial(k: int) -> Primorial:
@@ -249,9 +238,7 @@ def nth_primorial(k: int) -> Primorial:
         raise DomainError(f"primorial index must be >= 1, got {k}")
     value = 1
     factors = []
-    gen = _consecutive_primes()
-    for _ in range(k):
-        p = next(gen)
+    for p in _primorial_primes()[:k]:
         if value > U64_MAX // p:
             raise PrimorialOverflowError(
                 f"primorial of {k} primes exceeds 64-bit range (factors so far: {factors})"
@@ -267,9 +254,9 @@ def smallest_primorial_at_least(n: int) -> Primorial:
         raise DomainError(f"need n >= 1, got {n}")
     value = 1
     factors = []
-    gen = _consecutive_primes()
-    while value < n:
-        p = next(gen)
+    for p in _primorial_primes():
+        if value >= n:
+            break
         if value > U64_MAX // p:
             raise PrimorialOverflowError(f"no 64-bit primorial reaches {n}")
         value *= p
@@ -334,6 +321,4 @@ def max_seed_prime_for(n: int) -> int:
     """Largest prime <= sqrt of the smallest primorial >= n."""
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
-    p = smallest_primorial_at_least(n)
-    root = math.isqrt(p.value)
-    return primes_up_to(root).largest_prime_at_most(root)
+    return prev_prime(math.isqrt(smallest_primorial_at_least(n).value))

@@ -9,10 +9,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, nth_primorial, primes_up_to
+from .errors import DomainError
+from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, next_prime, nth_primorial, prev_prime, primes_up_to
 
-PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000  # covers 2,724,109, the largest row bound
+# the least table the scaffold asks for: it covers 2,724,109, the largest row
+# bound, so every table row reads one prefix
+PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000
 
 # Candidate count on an explicit factor list (the scaffold's modulus may
 # exceed 64 bits, so its T is never needed as an integer here).
@@ -51,6 +53,7 @@ class _LogPrefix:
 
 @lru_cache(maxsize=1)
 def _build_log_prefix(limit: int) -> _LogPrefix:
+    """The prefix over the primes up to limit."""
     primes = primes_up_to(limit).ordered_primes
     odd = primes[1:]
     terms = np.fromiter(map(math.log1p, memoryview(-2.0 / odd)), dtype=np.float64, count=len(odd))
@@ -66,25 +69,18 @@ def _build_log_prefix(limit: int) -> _LogPrefix:
     )
 
 
-def _log_prefix(limit: int) -> _LogPrefix:
-    """The shared table covering `limit`: sieved to PRODUCT_FACTOR_PRIME_LIMIT,
-    doubled (up to the primality budget) as often as `limit` needs, so calls
-    past the default limit re-sieve only when they cross a doubling."""
-    size = PRODUCT_FACTOR_PRIME_LIMIT
-    while size < limit:
-        size *= 2
-    return _build_log_prefix(max(limit, min(size, DEFAULT_PRIMALITY_BUDGET)))
-
-
 def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
-    """The shared table and the index range of the primes in [from_prime, to_prime]."""
-    if to_prime > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(
-            f"product factor bound {to_prime} exceeds the primality budget {DEFAULT_PRIMALITY_BUDGET}"
-        )
+    """The prefix table and the index range of the primes in [from_prime, to_prime].
+
+    The prefix covers PRODUCT_FACTOR_PRIME_LIMIT doubled as often as to_prime
+    needs (at most to the primality budget), so its size depends on to_prime
+    alone, not on how far the shared prime table has grown.
+    """
     if from_prime > to_prime:
         raise DomainError(f"need from_prime <= to_prime, got ({from_prime}, {to_prime})")
-    table = _log_prefix(to_prime)
+    doublings = (max(to_prime - 1, 0) // PRODUCT_FACTOR_PRIME_LIMIT).bit_length()
+    limit = max(to_prime, min(PRODUCT_FACTOR_PRIME_LIMIT << doublings, DEFAULT_PRIMALITY_BUDGET))
+    table = _build_log_prefix(limit)
     i = int(np.searchsorted(table.primes, from_prime, side="left"))
     j = int(np.searchsorted(table.primes, to_prime, side="right"))
     if i == j or table.primes[i] != from_prime or table.primes[j - 1] != to_prime:
@@ -125,19 +121,6 @@ def avg_solutions_in_cycle(T_M: int, pf: float) -> float:
 def round_display(x: float) -> int:
     """Round-half-up to the nearest integer, the tables' display convention."""
     return math.floor(x + 0.5)
-
-
-def _prev_prime(n: int) -> int:
-    primes = _log_prefix(n).primes
-    return int(primes[np.searchsorted(primes, n, side="right") - 1])
-
-
-def _next_prime(n: int) -> int:
-    primes = _log_prefix(n + 1).primes
-    i = np.searchsorted(primes, n, side="right")
-    if i == len(primes):  # past the shared table; Bertrand: a prime lies in (n, 2n]
-        primes = _log_prefix(2 * n).primes
-    return int(primes[i])
 
 
 @dataclass(frozen=True)
@@ -184,8 +167,8 @@ def build_table17(rows: int = 9) -> list[ScaffoldRow]:
     for k in range(1, rows + 1):
         M = _base_primorial(k)
         P_m = M.largest_factor
-        P_s = _next_prime(P_m)
-        P_z = _prev_prime(math.isqrt(M.value))
+        P_s = next_prime(P_m)
+        P_z = prev_prime(math.isqrt(M.value))
         t = _T(M.prime_factors)
         pf = product_factor(P_s, P_z)
         out.append(
@@ -244,12 +227,12 @@ def build_table19_20(rows: int = 8) -> list[ScaffoldRow]:
         A = _base_primorial(k)
         B = nth_primorial(A.k + 1)
         P_a, P_b = A.largest_factor, B.largest_factor
-        P_s = _next_prime(P_b)
-        P_c = _prev_prime(math.isqrt(B.value))
+        P_s = next_prime(P_b)
+        P_c = prev_prime(math.isqrt(B.value))
         t = _T(A.prime_factors)
         pf = product_factor(P_b, P_c)
         avg_a = avg_solutions_in_cycle(t, pf)
-        P_z = _next_prime(P_c)
+        P_z = next_prime(P_c)
         out.append(
             ScaffoldRow(
                 index=k, A=A, B_largest_factor=P_b, C_largest_factor=P_c,
@@ -270,11 +253,11 @@ def build_table21(rows: int = 9) -> list[ScaffoldRow]:
     for k in range(1, rows + 1):
         A = _base_primorial(k)
         P_a = A.largest_factor
-        P_b = _prev_prime(math.isqrt(A.value))
-        P_s = _next_prime(P_a)
+        P_b = prev_prime(math.isqrt(A.value))
+        P_s = next_prime(P_a)
         t = _T(A.prime_factors)
         pf = product_factor(P_s, P_b)
-        P_z = _next_prime(P_b)
+        P_z = next_prime(P_b)
         if P_z * P_z <= A.value:
             raise AssertionError(f"scaffold row {k}: {P_z}^2 <= {A.value}")
         out.append(

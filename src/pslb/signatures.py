@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .primes import DEFAULT_PRIMALITY_BUDGET, SeedPrimeSet, is_prime, primes_up_to
+from .errors import DomainError
+from .primes import SeedPrimeSet, is_prime, primes_up_to
 
 VERDICT_UNIT = "unit"
 VERDICT_SEED_PRIME = "seed-prime"
@@ -31,8 +31,6 @@ def _check_seeds(seeds) -> tuple[int, ...]:
         raise DomainError("seed prime list is empty")
     if list(seeds) != sorted(set(seeds)):
         raise DomainError(f"seed primes must be strictly ascending: {seeds}")
-    if seeds[-1] > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(f"seed {seeds[-1]} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
     table = primes_up_to(max(seeds[-1], 2))
     for s in seeds:
         if not table.is_prime(s):

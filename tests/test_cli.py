@@ -1,9 +1,12 @@
 """End-to-end CLI tests: output formats, exit codes, env handling."""
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslb.cli import main
 
@@ -259,3 +262,42 @@ def test_cache_verify_truncated_header(capsys, tmp_path):
     code, _, err = run(capsys, "cache", "verify", str(path))
     assert code == 1
     assert "bad sieve cache" in err
+
+
+def test_cache_build_over_budget_exits_2(capsys, tmp_path):
+    path = tmp_path / "cache.sieve"
+    code, out, err = run(capsys, "cache", "build", "--limit", "100000001", "--out-path", str(path))
+    assert code == 2
+    assert out == ""
+    assert "budget exceeded" in err
+    assert not path.exists()
+
+
+def test_signature_over_seed_budget_exits_2(capsys):
+    # 10**17 falls in 47#, whose seed primes run to sqrt(47#) ~ 7.8e8
+    code, out, err = run(capsys, "signature", str(10**17))
+    assert code == 2
+    assert out == ""
+    assert "budget exceeded" in err
+
+
+FUZZ_INTS = st.sampled_from([-1, 0, 1, 2, 5, 30, 31, 2310, 30030, 510511, 10**17, 2**64]).map(str)
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["table", "figure", "signature"]), FUZZ_INTS).map(list),
+    st.tuples(st.just("goldbach"), FUZZ_INTS,
+              st.sampled_from([[], ["--filter"], ["--potential-count"]]))
+      .map(lambda t: [t[0], t[1], *t[2]]),
+    FUZZ_INTS.map(lambda n: ["twins", "--below", n, "--count"]),
+    st.tuples(FUZZ_INTS, FUZZ_INTS).map(lambda t: ["census", "--inner", t[0], "--outer", t[1]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUZZ_ARGV)
+def test_argv_fuzz_exits_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv

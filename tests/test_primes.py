@@ -1,18 +1,22 @@
 """Sieve, primorial and seed-partition tests against brute-force oracles."""
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb.errors import DomainError, PrimorialOverflowError
+from pslb import primes
+from pslb.errors import BudgetError, DomainError, PrimorialOverflowError
 from pslb.primes import (
     PrimeTable,
     is_prime,
     largest_primorial_at_most,
     max_seed_prime_for,
+    next_prime,
     nth_primorial,
+    prev_prime,
     primes_up_to,
     seed_prime_set,
     sieve_odd_flags,
@@ -37,13 +41,6 @@ def test_sieve_matches_trial_division_to_1e5():
         assert table.is_prime(n) == is_prime(n), n
 
 
-def test_sieve_segmentation_and_threads_are_bit_identical():
-    reference = sieve_odd_flags(300_000)
-    for seg, threads in ((1 << 12, 1), (1 << 14, 4), (7777, 3)):
-        assert np.array_equal(sieve_odd_flags(300_000, segment_size=seg, threads=threads),
-                              reference)
-
-
 def test_prime_counts():
     assert primes_up_to(100).prime_count == 25
     assert primes_up_to(2310).ordered_primes[0] == 2
@@ -51,12 +48,72 @@ def test_prime_counts():
 
 
 def test_neighbor_queries():
-    table = primes_up_to(100)
-    assert table.largest_prime_at_most(14) == 13
-    assert table.smallest_prime_above(13) == 17
-    assert table.largest_prime_at_most(2) == 2
+    assert prev_prime(14) == 13
+    assert next_prime(13) == 17
+    assert prev_prime(2) == 2
+    assert next_prime(1) == next_prime(-5) == 2
+    assert next_prime(99) == 101
     with pytest.raises(DomainError):
-        table.smallest_prime_above(99)
+        prev_prime(1)
+
+
+@contextmanager
+def empty_shared_table():
+    """Run with the shared table unbuilt, as in a fresh process."""
+    saved = primes._table
+    primes._table = None
+    primes_up_to.cache_clear()
+    try:
+        yield
+    finally:
+        primes._table = saved
+        primes_up_to.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 300_000), min_size=1, max_size=8))
+def test_shared_table_views_equal_fresh_tables(limits):
+    with empty_shared_table():  # grow the shared table in the drawn order
+        for limit in limits:
+            view, fresh = primes_up_to(limit), PrimeTable(limit)
+            assert view.limit == fresh.limit and view.prime_count == fresh.prime_count
+            assert np.array_equal(view.ordered_primes, fresh.ordered_primes)
+            assert np.array_equal(view.prime_mask(), fresh.prime_mask())
+            for n in (limit, limit + 1):
+                assert view.is_prime(n) == fresh.is_prime(n)
+            with pytest.raises(ValueError):
+                view.ordered_primes[0] = 4
+            with pytest.raises(ValueError):
+                view.odd_prime_mask()[0] = True
+
+
+def check_neighbors(n):
+    above, below = next_prime(n), prev_prime(n)  # next_prime first: it may grow the table
+    assert below <= n < above and is_prime(below) and is_prime(above)
+    assert not any(is_prime(m) for m in range(below + 1, above) if m != n)
+    assert is_prime(n) == (below == n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3_000_000))
+def test_prev_and_next_prime_match_trial_division(n):
+    check_neighbors(n)
+
+
+def test_prev_and_next_prime_at_shared_table_limit():
+    primes_up_to(1000)  # the shared table exists
+    limit = primes._table.limit
+    for n in (limit - 1, limit, limit + 1):
+        check_neighbors(n)
+    assert primes._table.limit > limit  # next_prime(limit) grew the table
+
+
+@pytest.mark.parametrize("n, expected", [
+    (65_535, 65_537), (65_536, 65_537), (100_000, 100_003), (1_000_000, 1_000_003),
+])
+def test_next_prime_past_a_fresh_table(n, expected):
+    with empty_shared_table():  # the first table ends at 65,536
+        assert next_prime(n) == expected
 
 
 def test_nth_primorial_values():
@@ -99,6 +156,27 @@ def test_max_seed_prime_for():
     assert max_seed_prime_for(68) == 13
     assert max_seed_prime_for(2310) == 47
     assert max_seed_prime_for(30030) == 173
+
+
+def test_sieve_budget():
+    with pytest.raises(BudgetError):
+        sieve_odd_flags(100_000_001)
+    with pytest.raises(BudgetError):
+        primes_up_to(100_000_001)
+    with pytest.raises(BudgetError):
+        prev_prime(100_000_001)
+    with pytest.raises(BudgetError):
+        next_prime(100_000_000)
+
+
+@pytest.mark.parametrize("seeds_of", [
+    lambda: seed_prime_set(nth_primorial(14)),  # sqrt(43#) ~ 1.14e8
+    lambda: seed_prime_set(smallest_primorial_at_least(10**17)),  # 47#
+    lambda: max_seed_prime_for(10**17),
+], ids=["seeds_of_43#", "seeds_of_47#", "max_seed_of_1e17"])
+def test_seed_primes_over_budget(seeds_of):
+    with pytest.raises(BudgetError):
+        seeds_of()
 
 
 @settings(max_examples=50, deadline=None)

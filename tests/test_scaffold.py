@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslb.errors import BudgetError, DomainError
-from pslb.primes import primes_up_to
+from pslb.primes import next_prime, prev_prime, primes_up_to
 from pslb.scaffold import (
-    _next_prime,
-    _prev_prime,
+    PRODUCT_FACTOR_PRIME_LIMIT,
+    _prime_span,
     avg_solutions_in_cycle,
     build_table17,
     build_table18,
@@ -75,9 +75,15 @@ def test_product_factor_equals_fsum_oracle_at_table_edge(lo, hi):
 
 
 def test_prev_and_next_prime_across_table_edge():
-    assert _prev_prime(2_800_000) == 2799991
-    assert _next_prime(2799991) == 2800001  # past the default shared table
-    assert _next_prime(13) == 17 and _prev_prime(13) == 13
+    assert prev_prime(2_800_000) == 2799991
+    assert next_prime(2799991) == 2800001  # past the scaffold's least table
+    assert next_prime(13) == 17 and prev_prime(13) == 13
+
+
+def test_prefix_size_follows_to_prime_not_the_shared_table():
+    primes_up_to(6_000_000)  # the shared table now reaches past 2 * 2.8M
+    assert _prime_span(3, 5)[0].primes[-1] == prev_prime(PRODUCT_FACTOR_PRIME_LIMIT)
+    assert _prime_span(3, 2800001)[0].primes[-1] == prev_prime(2 * PRODUCT_FACTOR_PRIME_LIMIT)
 
 
 # product_factor of each table-17/21 and table-19/20 row, as float hex
