@@ -2,6 +2,7 @@
 prime-count formulas and per-cycle censuses."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -84,8 +85,6 @@ def _check_eq1_seeds(n: int, seeds) -> tuple[int, ...]:
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) > 20:
         raise BudgetError(f"{len(seeds)} seeds is too many for subset enumeration")
-    import math
-
     root = math.isqrt(n)
     expected = tuple(int(q) for q in primes_up_to(max(root, 2)).ordered_primes if q <= root)
     if seeds != expected:
@@ -120,10 +119,9 @@ def prime_count_via_eq1(n: int, seeds) -> int:
     The inclusion-exclusion multiple count includes the seed primes
     themselves; the +#seeds term compensates.
     """
-    seeds = _check_eq1_seeds(n, seeds)
-    levels = seed_multiple_level_counts(n, seeds)
+    levels = seed_multiple_level_counts(n, seeds)  # one level per seed
     multiples = sum(v if k % 2 == 0 else -v for k, v in enumerate(levels))
-    return n - 1 + len(seeds) - multiples
+    return n - 1 + len(levels) - multiples
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _primorial_by_value(value: int):
     prim = smallest_primorial_at_least(value)
     if prim.value != value:
@@ -96,7 +103,7 @@ def _cmd_figure(args) -> tables.TableData:
 
 def _cmd_signature(args) -> tables.TableData:
     if args.seeds:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
+        seeds = tuple(_parse_int("each --seeds entry", s) for s in args.seeds.split(","))
         sig = signature(args.z, seeds)
         rows = [[p, r] for p, r in zip(sig.seed_primes, sig.residues)]
         return tables.TableData(
@@ -320,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sieve_budget is None:
-        env = os.environ.get(ENV_SIEVE_BUDGET)
-        args.sieve_budget = int(env) if env else DEFAULT_FACTOR_BUDGET
     if args.command == "cache":
         if args.action == "build":
             if args.limit is None or args.cache_out is None:
@@ -332,6 +336,9 @@ def main(argv=None) -> int:
             parser.error("cache verify requires a cache file path")
     args.exit_code = 0
     try:
+        if args.sieve_budget is None:
+            env = os.environ.get(ENV_SIEVE_BUDGET)
+            args.sieve_budget = _parse_int(ENV_SIEVE_BUDGET, env) if env else DEFAULT_FACTOR_BUDGET
         if args.precision < 0:
             raise DomainError(f"--precision must be >= 0, got {args.precision}")
         data = args.handler(args)
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, PrimorialOverflowError) as exc:
+    except (DomainError, PrimorialOverflowError, OSError) as exc:  # OSError: --out, cache paths
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return args.exit_code

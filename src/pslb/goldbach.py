@@ -180,7 +180,7 @@ def mismatch_violations(upper: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> l
         for E in range(lo, hi + 1, 2):
             p1 = half[: np.searchsorted(half, E // 2)]
             violations.extend((E, p) for p in p1[rough_composite[E - p1]].tolist())
-        lo = hi + 2 if hi % 2 == 0 else hi + 1
+        lo = hi + 2  # primorials are even; an odd hi is upper, which ends the loop
     return violations
 
 
@@ -220,10 +220,9 @@ def goldbach_solve(E: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> GoldbachSo
         return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
     sps = seed_prime_set(smallest_primorial_at_least(E))
     passing = mismatch_filter(E, sps, budget=budget)
-    seed_set = set(sps.all_seeds)
-    seed_hits = [p1 for p1 in passing if p1 in seed_set]
-    if seed_hits:
-        p1 = seed_hits[0]
+    # the seeds are exactly the primes up to max_seed, and passing ascends
+    if passing and passing[0] <= sps.max_seed:
+        p1 = passing[0]
         return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2a")
     # Scaffold existence path, anchored at the largest primorial <= E.
     A = largest_primorial_at_most(E)

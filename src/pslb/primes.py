@@ -3,13 +3,16 @@
 The sieve stores one flag per odd integer. One module-level table serves
 every prime lookup: `primes_up_to`, `prev_prime` and `next_prime` read it,
 and it is re-sieved, at least doubled and at most to the primality budget,
-only when a limit past its end is asked for.
+only when a limit past its end is asked for. Likewise one ladder of the 64-bit
+primorials, built at import by trial division (no sieve), serves every
+primorial lookup.
 """
 from __future__ import annotations
 
 import math
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -227,60 +230,45 @@ class Primorial:
         return f"{self.largest_factor}#"
 
 
-def _primorial_primes() -> list[int]:
-    # 53# > 2**64, so these cover every 64-bit primorial and its overflow check
-    return primes_up_to(53).ordered_primes.tolist()
+def _primorial_ladder() -> tuple[Primorial, ...]:
+    """2#, 3#, 5#, ..., 47#: every primorial that fits in 64 bits (53# does not)."""
+    ladder = [Primorial(2, (2,))]
+    for p in filter(is_prime, range(3, 54)):
+        prev = ladder[-1]
+        if prev.value * p > U64_MAX:
+            break
+        ladder.append(Primorial(prev.value * p, prev.prime_factors + (p,)))
+    return tuple(ladder)
+
+
+_LADDER = _primorial_ladder()
+_LADDER_VALUES = [p.value for p in _LADDER]
 
 
 def nth_primorial(k: int) -> Primorial:
     """Product of the first k primes; rejects values beyond 64 bits."""
     if k < 1:
         raise DomainError(f"primorial index must be >= 1, got {k}")
-    value = 1
-    factors = []
-    for p in _primorial_primes()[:k]:
-        if value > U64_MAX // p:
-            raise PrimorialOverflowError(
-                f"primorial of {k} primes exceeds 64-bit range (factors so far: {factors})"
-            )
-        value *= p
-        factors.append(p)
-    return Primorial(value, tuple(factors))
+    if k > len(_LADDER):
+        raise PrimorialOverflowError(f"primorial of {k} primes exceeds 64-bit range")
+    return _LADDER[k - 1]
 
 
 def smallest_primorial_at_least(n: int) -> Primorial:
     """Least primorial >= n."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    value = 1
-    factors = []
-    for p in _primorial_primes():
-        if value >= n:
-            break
-        if value > U64_MAX // p:
-            raise PrimorialOverflowError(f"no 64-bit primorial reaches {n}")
-        value *= p
-        factors.append(p)
-    if not factors:  # n == 1; smallest primorial is 2
-        return nth_primorial(1)
-    return Primorial(value, tuple(factors))
+    i = bisect_left(_LADDER_VALUES, n)
+    if i == len(_LADDER):
+        raise PrimorialOverflowError(f"no 64-bit primorial reaches {n}")
+    return _LADDER[i]
 
 
 def largest_primorial_at_most(n: int) -> Primorial:
-    """Greatest primorial <= n."""
+    """Greatest primorial <= n (47# for every n past it)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    best = nth_primorial(1)
-    k = 2
-    while True:
-        try:
-            cand = nth_primorial(k)
-        except PrimorialOverflowError:
-            return best
-        if cand.value > n:
-            return best
-        best = cand
-        k += 1
+    return _LADDER[bisect_right(_LADDER_VALUES, n) - 1]
 
 
 @dataclass(frozen=True)

@@ -3,29 +3,19 @@ the two- and three-primorial scaffold tables."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .census import potential_solutions_T
 from .errors import DomainError
 from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, next_prime, nth_primorial, prev_prime, primes_up_to
 
 # the least table the scaffold asks for: it covers 2,724,109, the largest row
 # bound, so every table row reads one prefix
 PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000
-
-# Candidate count on an explicit factor list (the scaffold's modulus may
-# exceed 64 bits, so its T is never needed as an integer here).
-
-
-def _T(factors) -> int:
-    out = 1
-    for f in factors[1:]:
-        out *= f - 2
-    return out
-
 
 @dataclass(frozen=True)
 class _LogPrefix:
@@ -169,7 +159,7 @@ def build_table17(rows: int = 9) -> list[ScaffoldRow]:
         P_m = M.largest_factor
         P_s = next_prime(P_m)
         P_z = prev_prime(math.isqrt(M.value))
-        t = _T(M.prime_factors)
+        t = potential_solutions_T(M)
         pf = product_factor(P_s, P_z)
         out.append(
             ScaffoldRow(
@@ -229,7 +219,7 @@ def build_table19_20(rows: int = 8) -> list[ScaffoldRow]:
         P_a, P_b = A.largest_factor, B.largest_factor
         P_s = next_prime(P_b)
         P_c = prev_prime(math.isqrt(B.value))
-        t = _T(A.prime_factors)
+        t = potential_solutions_T(A)
         pf = product_factor(P_b, P_c)
         avg_a = avg_solutions_in_cycle(t, pf)
         P_z = next_prime(P_c)
@@ -245,27 +235,14 @@ def build_table19_20(rows: int = 8) -> list[ScaffoldRow]:
 
 
 def build_table21(rows: int = 9) -> list[ScaffoldRow]:
-    """Goldbach two-primorial scaffold: B's largest factor is the largest
-    prime < sqrt(A); verifies smallest-non-core squared exceeds A."""
+    """Goldbach two-primorial scaffold: the table-17 rows, each with the
+    smallest non-core prime P_z; verifies P_z squared exceeds A."""
     if not 1 <= rows <= 9:
         raise DomainError(f"table 21 supports 1..9 rows, got {rows}")
     out = []
-    for k in range(1, rows + 1):
-        A = _base_primorial(k)
-        P_a = A.largest_factor
-        P_b = prev_prime(math.isqrt(A.value))
-        P_s = next_prime(P_a)
-        t = _T(A.prime_factors)
-        pf = product_factor(P_s, P_b)
-        P_z = next_prime(P_b)
-        if P_z * P_z <= A.value:
-            raise AssertionError(f"scaffold row {k}: {P_z}^2 <= {A.value}")
-        out.append(
-            ScaffoldRow(
-                index=k, A=A, B_largest_factor=P_b, C_largest_factor=None,
-                P_a=P_a, P_b=P_b, P_s=P_s, T_A=t, product_factor=pf,
-                avg_T_A=avg_solutions_in_cycle(t, pf), avg_T_B=None,
-                smallest_non_core=P_z, smallest_non_core_squared=P_z * P_z,
-            )
-        )
+    for row in build_table17(rows):
+        P_z = next_prime(row.P_b)
+        if P_z * P_z <= row.A.value:
+            raise AssertionError(f"scaffold row {row.index}: {P_z}^2 <= {row.A.value}")
+        out.append(replace(row, smallest_non_core=P_z, smallest_non_core_squared=P_z * P_z))
     return out

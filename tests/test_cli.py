@@ -281,6 +281,44 @@ def test_signature_over_seed_budget_exits_2(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("seeds", ["2,x", ","])
+def test_signature_non_integer_seeds_exits_1(capsys, seeds):
+    code, out, err = run(capsys, "signature", "2291", "--seeds", seeds)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--seeds" in err
+
+
+def test_non_integer_env_budget_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("PSLB_SIEVE_BUDGET", "abc")
+    code, out, err = run(capsys, "table", "9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "PSLB_SIEVE_BUDGET" in err
+
+
+def test_cache_verify_missing_file_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "cache", "verify", str(tmp_path / "absent.sieve"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_out_into_missing_directory_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "table", "9", "--out", str(tmp_path / "absent" / "t9.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_cache_build_into_missing_directory_exits_1(capsys, tmp_path):
+    path = tmp_path / "absent" / "cache.sieve"
+    code, out, err = run(capsys, "cache", "build", "--limit", "1000", "--out-path", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 FUZZ_INTS = st.sampled_from([-1, 0, 1, 2, 5, 30, 31, 2310, 30030, 510511, 10**17, 2**64]).map(str)
 FUZZ_ARGV = st.one_of(
     st.tuples(st.sampled_from(["table", "figure", "signature"]), FUZZ_INTS).map(list),
@@ -289,6 +327,8 @@ FUZZ_ARGV = st.one_of(
       .map(lambda t: [t[0], t[1], *t[2]]),
     FUZZ_INTS.map(lambda n: ["twins", "--below", n, "--count"]),
     st.tuples(FUZZ_INTS, FUZZ_INTS).map(lambda t: ["census", "--inner", t[0], "--outer", t[1]]),
+    st.tuples(FUZZ_INTS, st.sampled_from(["2,3,5", "2,x", ",", "7,,11", "-3"]))
+      .map(lambda t: ["signature", t[0], "--seeds", t[1]]),
 )
 
 

@@ -1,4 +1,7 @@
 """Sieve, primorial and seed-partition tests against brute-force oracles."""
+import os
+import subprocess
+import sys
 import zlib
 from contextlib import contextmanager
 
@@ -138,6 +141,80 @@ def test_primorial_brackets():
     assert largest_primorial_at_most(250_000).value == 30030
     with pytest.raises(DomainError):
         smallest_primorial_at_least(0)
+
+
+def brute_primorials():
+    """(value, factors) for each primorial by a plain product loop, up to 53#,
+    the first one past 64 bits."""
+    out, value, factors, p = [], 1, (), 1
+    while value <= 2**64 - 1:
+        p += 1
+        if brute_is_prime(p):
+            value *= p
+            factors += (p,)
+            out.append((value, factors))
+    return out
+
+
+BRUTE_PRIMORIALS = [vf for vf in brute_primorials() if vf[0] <= 2**64 - 1]
+
+
+def outcome(lookup, x):
+    """(value, factors) of a lookup's primorial, or the type of its exception."""
+    try:
+        prim = lookup(x)
+    except (DomainError, PrimorialOverflowError) as exc:
+        return type(exc)
+    return prim.value, prim.prime_factors
+
+
+def brute_nth(k):
+    if k < 1:
+        return DomainError
+    return BRUTE_PRIMORIALS[k - 1] if k <= len(BRUTE_PRIMORIALS) else PrimorialOverflowError
+
+
+def brute_smallest(n):
+    if n < 1:
+        return DomainError
+    return next((vf for vf in BRUTE_PRIMORIALS if vf[0] >= n), PrimorialOverflowError)
+
+
+def brute_largest(n):
+    if n < 2:
+        return DomainError
+    return [vf for vf in BRUTE_PRIMORIALS if vf[0] <= n][-1]
+
+
+def check_ladder(n):
+    assert outcome(smallest_primorial_at_least, n) == brute_smallest(n), n
+    assert outcome(largest_primorial_at_most, n) == brute_largest(n), n
+
+
+def test_ladder_holds_the_64_bit_primorials():
+    assert BRUTE_PRIMORIALS[-1][1][-1] == 47  # 47# is the last 64-bit primorial
+    for k in range(-2, 20):
+        assert outcome(nth_primorial, k) == brute_nth(k), k
+
+
+@pytest.mark.parametrize("n", sorted(
+    {v + d for v, _ in BRUTE_PRIMORIALS for d in (-1, 0, 1)} | {-2, 2**64 - 1, 2**64, 2**70}))
+def test_ladder_lookups_at_each_primorial(n):
+    check_ladder(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=-2, max_value=2**64 + 10),
+                 st.integers(min_value=-2, max_value=10**6)))
+def test_ladder_lookups_match_brute_product_loop(n):
+    check_ladder(n)
+
+
+def test_import_builds_no_prime_table():
+    src = os.path.dirname(os.path.dirname(primes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import pslb; assert pslb.primes._table is None, pslb.primes._table.limit"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_seed_prime_partition():
