@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, primes_up_to, seed_prime_set
+from .primes import Primorial, primes_up_to, seed_prime_set
 from .signatures import potential_prime_mask, potential_twin_mask
 
 DEFAULT_FACTOR_BUDGET = 510_510
@@ -50,17 +50,20 @@ class NewCompositeSet:
         return int(self.members[0])
 
 
-def _potential_and_new_composite_masks(p: Primorial, prime_value_mask: np.ndarray
-                                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(potential-prime mask, new-composite mask) over integers 1..p.value.
+def _census_masks(p: Primorial, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prime mask over 0..p.value, potential-prime mask, new-composite mask
+    over 1..p.value), or BudgetError when p.value exceeds the factor budget.
 
     A new composite is a potential prime (odd, no core factor) that is
     neither prime nor 1.
     """
+    if p.value > budget:
+        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
+    prime_value_mask = primes_up_to(p.value).prime_mask()
     pp = potential_prime_mask(p.value, p.prime_factors)
-    new_comp = pp & ~prime_value_mask[1 : p.value + 1]
+    new_comp = pp & ~prime_value_mask[1:]
     new_comp[:1] = False  # z = 1
-    return pp, new_comp
+    return prime_value_mask, pp, new_comp
 
 
 def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewCompositeSet:
@@ -69,9 +72,7 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     A member is an odd composite > 1 that no core seed prime divides; its
     smallest factor is therefore a non-core seed prime.
     """
-    if p.value > budget:
-        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
-    _, new_comp = _potential_and_new_composite_masks(p, primes_up_to(p.value).prime_mask())
+    new_comp = _census_masks(p, budget)[2]
     return NewCompositeSet(p, np.flatnonzero(new_comp) + 1)
 
 
@@ -82,6 +83,8 @@ def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> in
 
 
 def _check_eq1_seeds(n: int, seeds) -> tuple[int, ...]:
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) > 20:
         raise BudgetError(f"{len(seeds)} seeds is too many for subset enumeration")
@@ -165,10 +168,7 @@ def cycle_census(inner: Primorial, outer: Primorial,
     """
     if outer.value % inner.value != 0:
         raise DomainError(f"{inner.value} does not divide {outer.value}")
-    if outer.value > budget:
-        raise BudgetError(f"outer primorial {outer.value} exceeds budget {budget}")
-    value_mask = primes_up_to(outer.value).prime_mask()
-    pp, new_comp = _potential_and_new_composite_masks(outer, value_mask)
+    value_mask, pp, new_comp = _census_masks(outer, budget)
     pt, tt = twin_masks(outer.value, outer.prime_factors, value_mask)
     n_cycles = outer.value // inner.value
     # one row per cycle of integers (c-1)*inner+1 .. c*inner
@@ -210,11 +210,8 @@ class Figure1Window:
 def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Figure1Window]:
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
-    if p.value > budget:
-        raise BudgetError(f"primorial {p.value} exceeds budget {budget}")
-    sps = seed_prime_set(p)
-    width = 2 * sps.max_seed
-    pp, new_comp = _potential_and_new_composite_masks(p, primes_up_to(p.value).prime_mask())
+    pp, new_comp = _census_masks(p, budget)[1:]
+    width = 2 * seed_prime_set(p).max_seed
     starts = np.arange(0, p.value, width)
     ends = np.minimum(starts + width, p.value)
     potential = np.add.reduceat(pp, starts, dtype=np.int64)

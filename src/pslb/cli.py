@@ -152,11 +152,11 @@ def _cmd_scaffold(args) -> tables.TableData:
 def _cmd_goldbach(args) -> tables.TableData:
     E = args.even
     if args.pairs:
-        rows = [[p.p1, p.p2] for p in goldbach.goldbach_pairs(E, budget=args.sieve_budget)]
+        rows = [[p.p1, p.p2] for p in goldbach.goldbach_pairs(E)]
         return tables.TableData(0, f"prime pairs summing to {E}", ("p1", "p2"), rows)
     if args.filter:
         sps = seed_prime_set(smallest_primorial_at_least(E))
-        primes = goldbach.mismatch_filter(E, sps, budget=args.sieve_budget)
+        primes = goldbach.mismatch_filter(E, sps)
         return tables.TableData(
             0, f"mismatch-filter primes for {E}", ("p1",), [[p] for p in primes]
         )
@@ -167,7 +167,7 @@ def _cmd_goldbach(args) -> tables.TableData:
             0, f"potential solution classes for {E} mod {prim.value}",
             ("even", "primorial", "count"), [[E, prim.value, count]],
         )
-    sol = goldbach.goldbach_solve(E, budget=args.sieve_budget)
+    sol = goldbach.goldbach_solve(E)
     return tables.TableData(
         0, f"solution for {E} ({sol.case})",
         ("even", "p1", "p2", "case", "anchor_primorial", "scaffold_certified", "note"),

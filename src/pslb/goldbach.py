@@ -3,13 +3,13 @@ signature-mismatch solution procedure."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .primes import (
-    DEFAULT_PRIMALITY_BUDGET,
+    PrimeTable,
     SeedPrimeSet,
     largest_primorial_at_most,
     next_prime,
@@ -39,38 +39,28 @@ def _check_even(E: int) -> None:
         raise DomainError(f"need an even integer > 4, got {E}")
 
 
-def goldbach_pairs(E: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> list[GoldbachPair]:
+def _partners(E: int, table: PrimeTable) -> np.ndarray:
+    """Odd primes p1 <= E/2 whose partner E - p1 is prime, ascending.
+
+    `table` must reach E - 3. p1 = 2 never pairs, since E - 2 is even and > 2.
+    """
+    primes = table.ordered_primes
+    p1 = primes[1 : np.searchsorted(primes, E // 2, side="right")]
+    return p1[table.odd_prime_mask()[(E - p1) // 2]]
+
+
+def goldbach_pairs(E: int) -> list[GoldbachPair]:
     """All prime pairs summing to E, ascending by the smaller member."""
     _check_even(E)
-    if E > budget:
-        raise BudgetError(f"{E} exceeds primality budget {budget}")
-    table = primes_up_to(E)
-    out = []
-    for p1 in table.ordered_primes:
-        p1 = int(p1)
-        if p1 > E // 2:
-            break
-        if table.is_prime(E - p1):
-            out.append(GoldbachPair(E, p1, E - p1))
-    return out
+    return [GoldbachPair(E, p1, E - p1) for p1 in _partners(E, primes_up_to(E)).tolist()]
 
 
-def pair_count_table(upper: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> list[tuple[int, int, int]]:
+def pair_count_table(upper: int) -> list[tuple[int, int, int]]:
     """(E, E mod 3, pair count) for every even 6 <= E <= upper."""
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
-    if upper > budget:
-        raise BudgetError(f"{upper} exceeds primality budget {budget}")
     table = primes_up_to(upper)
-    mask = table.prime_mask()
-    out = []
-    for E in range(6, upper + 1, 2):
-        count = 0
-        for p1 in range(2, E // 2 + 1):
-            if mask[p1] and mask[E - p1]:
-                count += 1
-        out.append((E, E % 3, count))
-    return out
+    return [(E, E % 3, len(_partners(E, table))) for E in range(6, upper + 1, 2)]
 
 
 CLASS_0, CLASS_1, CLASS_2, SEED_3 = "[0]", "[1]", "[2]", "3"
@@ -103,8 +93,7 @@ class Mod3Rule:
 
 def mod3_rule(E: int) -> Mod3Rule:
     """The Table-9 rule row that applies to E."""
-    if E <= 4 or E % 2 != 0:
-        raise DomainError(f"need an even integer > 4, got {E}")
+    _check_even(E)
     cls = E % 3
     return Mod3Rule(cls, _MOD3_COMBINATIONS[cls], (3, 3) if E == 6 else None)
 
@@ -122,7 +111,7 @@ def _seed_free_mask(lo: int, hi: int, seeds) -> np.ndarray:
     return residue_sieve(lo, hi, {q: (0,) for q in seeds})
 
 
-def mismatch_filter(E: int, sps: SeedPrimeSet, budget: int = DEFAULT_PRIMALITY_BUDGET) -> list[int]:
+def mismatch_filter(E: int, sps: SeedPrimeSet) -> list[int]:
     """Primes p1 below E/2 whose residues differ from E's at every seed prime.
 
     The trivial solution p1 = E/2 (when prime) is appended; it is the one
@@ -139,8 +128,6 @@ def mismatch_filter(E: int, sps: SeedPrimeSet, budget: int = DEFAULT_PRIMALITY_B
             f"seed set is for {sps.primorial.value}, expected smallest primorial >= {E} "
             f"({expected.value})"
         )
-    if E > budget:
-        raise BudgetError(f"{E} exceeds primality budget {budget}")
     table = primes_up_to(E)
     primes = table.ordered_primes
     p1 = primes[: np.searchsorted(primes, E // 2)]  # 2 * p1 < E
@@ -152,7 +139,7 @@ def mismatch_filter(E: int, sps: SeedPrimeSet, budget: int = DEFAULT_PRIMALITY_B
     return out
 
 
-def mismatch_violations(upper: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> list[tuple[int, int]]:
+def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     """(E, p1) pairs where the mismatch filter yields a composite partner.
 
     Covers all even 6 <= E <= upper; equivalent to running mismatch_filter
@@ -161,8 +148,6 @@ def mismatch_violations(upper: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> l
     """
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
-    if upper > budget:
-        raise BudgetError(f"{upper} exceeds primality budget {budget}")
     table = primes_up_to(upper)
     mask = table.prime_mask()
     primes = table.ordered_primes
@@ -210,16 +195,14 @@ class GoldbachSolution:
     note: str = ""
 
 
-def goldbach_solve(E: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> GoldbachSolution:
+def goldbach_solve(E: int) -> GoldbachSolution:
     """Produce one pair for E and report which solution case found it."""
     _check_even(E)
-    if E > budget:
-        raise BudgetError(f"{E} exceeds primality budget {budget}")
     table = primes_up_to(E)
     if table.is_prime(E // 2):
         return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
     sps = seed_prime_set(smallest_primorial_at_least(E))
-    passing = mismatch_filter(E, sps, budget=budget)
+    passing = mismatch_filter(E, sps)
     # the seeds are exactly the primes up to max_seed, and passing ascends
     if passing and passing[0] <= sps.max_seed:
         p1 = passing[0]
@@ -238,7 +221,7 @@ def goldbach_solve(E: int, budget: int = DEFAULT_PRIMALITY_BUDGET) -> GoldbachSo
         )
     # The mismatch filter came up empty; fall back to direct enumeration and
     # flag the divergence rather than hiding it.
-    pairs = goldbach_pairs(E, budget=budget)
+    pairs = goldbach_pairs(E)
     if not pairs:
         raise AssertionError(f"no Goldbach pair found for {E}: conjecture counterexample candidate")
     return GoldbachSolution(

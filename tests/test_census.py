@@ -84,6 +84,17 @@ def test_prime_count_via_eq1_matches_sieve():
         assert prime_count_via_eq1(n, seeds) == primes_up_to(n).prime_count, n
 
 
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("fn", [prime_count_via_eq1, seed_multiple_level_counts])
+def test_eq1_rejects_n_below_1(fn, n):
+    with pytest.raises(DomainError):
+        fn(n, ())
+
+
+def test_prime_count_via_eq1_at_1():
+    assert prime_count_via_eq1(1, ()) == 0
+
+
 def test_prime_count_via_eq1_validation():
     with pytest.raises(DomainError):
         prime_count_via_eq1(100, (2, 3, 5))  # missing seed 7

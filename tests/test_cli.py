@@ -264,6 +264,22 @@ def test_cache_verify_truncated_header(capsys, tmp_path):
     assert "bad sieve cache" in err
 
 
+@pytest.mark.parametrize("flag", [[], ["--pairs"], ["--filter"]])
+def test_goldbach_past_factor_budget(capsys, flag):
+    # the factor budget (510510) bounds census and twins, not goldbach
+    code, out, _ = run(capsys, "goldbach", "600000", *flag)
+    assert code == 0
+    if not flag:
+        assert parse_csv(out)[1][0][1:3] == ["7", "599993"]
+
+
+def test_goldbach_over_primality_budget_exits_2(capsys):
+    code, out, err = run(capsys, "goldbach", "100000002")
+    assert code == 2
+    assert out == ""
+    assert "budget exceeded" in err
+
+
 def test_cache_build_over_budget_exits_2(capsys, tmp_path):
     path = tmp_path / "cache.sieve"
     code, out, err = run(capsys, "cache", "build", "--limit", "100000001", "--out-path", str(path))

@@ -36,6 +36,16 @@ def test_pairs_against_brute_force():
         assert [(g.p1, g.p2) for g in goldbach_pairs(E)] == brute_pairs(E), E
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=100_000).map(lambda h: 2 * h))
+def test_pairs_against_brute_force_to_2e5(E):
+    assert [(g.p1, g.p2) for g in goldbach_pairs(E)] == brute_pairs(E)
+
+
+def test_pair_count_table_against_brute_force():
+    assert pair_count_table(3000) == [(E, E % 3, len(brute_pairs(E))) for E in range(6, 3001, 2)]
+
+
 def test_pairs_for_68():
     assert [(g.p1, g.p2) for g in goldbach_pairs(68)] == [(7, 61), (31, 37)]
 
@@ -46,7 +56,14 @@ def test_pair_validation():
     with pytest.raises(DomainError):
         goldbach_pairs(4)
     with pytest.raises(BudgetError):
-        goldbach_pairs(1000, budget=999)
+        goldbach_pairs(100_000_002)
+
+
+@pytest.mark.parametrize("fn", [pair_count_table, mismatch_violations, goldbach_solve])
+def test_over_primality_budget(fn):
+    # the sieve's own 1e8 check, raised before any per-E work
+    with pytest.raises(BudgetError):
+        fn(100_000_002)
 
 
 REFERENCE_COUNTS = {  # spot rows of the 6..210 reference table
