@@ -50,6 +50,13 @@ class NewCompositeSet:
         return int(self.members[0])
 
 
+def _prime_value_mask(p: Primorial, budget: int) -> np.ndarray:
+    """Prime mask over 0..p.value, or BudgetError when p.value exceeds the factor budget."""
+    if p.value > budget:
+        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
+    return primes_up_to(p.value).prime_mask()
+
+
 def _census_masks(p: Primorial, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(prime mask over 0..p.value, potential-prime mask, new-composite mask
     over 1..p.value), or BudgetError when p.value exceeds the factor budget.
@@ -57,9 +64,7 @@ def _census_masks(p: Primorial, budget: int) -> tuple[np.ndarray, np.ndarray, np
     A new composite is a potential prime (odd, no core factor) that is
     neither prime nor 1.
     """
-    if p.value > budget:
-        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
-    prime_value_mask = primes_up_to(p.value).prime_mask()
+    prime_value_mask = _prime_value_mask(p, budget)
     pp = potential_prime_mask(p.value, p.prime_factors)
     new_comp = pp & ~prime_value_mask[1:]
     new_comp[:1] = False  # z = 1

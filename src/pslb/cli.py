@@ -19,7 +19,6 @@ from .census import DEFAULT_FACTOR_BUDGET
 from .errors import BudgetError, DomainError, PrimorialOverflowError
 from .primes import (
     PrimeTable,
-    primes_up_to,
     seed_prime_set,
     smallest_primorial_at_least,
 )
@@ -181,10 +180,8 @@ def _cmd_twins(args) -> tables.TableData:
     if limit < 5:
         raise DomainError(f"need --below >= 5, got {limit}")
     outer = smallest_primorial_at_least(limit)
-    if outer.value > args.sieve_budget:
-        raise BudgetError(f"enclosing primorial {outer.value} exceeds budget {args.sieve_budget}")
-    table = primes_up_to(outer.value)
-    pt, tt = census.twin_masks(limit, outer.prime_factors, table.prime_mask())
+    prime_value_mask = census._prime_value_mask(outer, args.sieve_budget)
+    pt, tt = census.twin_masks(limit, outer.prime_factors, prime_value_mask)
     if args.count:
         return tables.TableData(
             0, f"true twin pairs with anchor <= {limit}",

@@ -96,7 +96,8 @@ class PrimeTable:
 
     @property
     def prime_count(self) -> int:
-        return len(self.ordered_primes)
+        """pi(limit), counted off the odd flags without building the prime array."""
+        return 1 + int(np.count_nonzero(self._odd))  # limit >= 2, so 2 counts
 
     def odd_prime_mask(self) -> np.ndarray:
         """Read-only flag array over odd integers (index i holds 2i+1)."""

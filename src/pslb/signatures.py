@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +26,9 @@ class ModularSignature:
     residues: tuple[int, ...]
 
 
-def _check_seeds(seeds) -> tuple[int, ...]:
-    seeds = tuple(int(s) for s in seeds)
+@lru_cache(maxsize=8)
+def _check_seeds(seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """The seed tuple itself once it passes; an invalid tuple raises on every call."""
     if not seeds:
         raise DomainError("seed prime list is empty")
     if list(seeds) != sorted(set(seeds)):
@@ -42,23 +44,44 @@ def signature(z: int, seeds) -> ModularSignature:
     """Residue sequence of z under each seed prime, in seed order."""
     if z < 1:
         raise DomainError(f"need z >= 1, got {z}")
-    seeds = _check_seeds(seeds)
+    seeds = _check_seeds(tuple(int(s) for s in seeds))
     return ModularSignature(z, seeds, tuple(z % s for s in seeds))
+
+
+@lru_cache(maxsize=8)
+def _crt_basis(moduli: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Subproduct tree of non-empty moduli, leaves first, and s_i = (M / m_i)^-1 mod m_i.
+
+    An odd node at the end of a level is carried up unchanged; the last level
+    holds M alone. pow raises ValueError when the moduli are not coprime.
+    """
+    levels = [moduli]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append(tuple(a * b for a, b in zip(below[::2], below[1::2])) + below[len(below) & ~1 :])
+    root = levels[-1][0]
+    # (M / m) mod m = (M mod m^2) / m: a short remainder instead of a long quotient
+    return tuple(levels), tuple(pow(root % (m * m) // m, -1, m) for m in moduli)
 
 
 def crt_reconstruct(sig: ModularSignature) -> int:
     """Unique solution in [0, prod(seeds)) matching every residue.
 
-    Iterative pairwise combination; prime moduli are pairwise coprime, so a
-    solution always exists.
+    x = sum(c_i * M / m_i) with c_i = r_i * s_i mod m_i, summed pairwise up a
+    subproduct tree (Borodin & Moenck 1974): a node combines its children as
+    x_L * m_R + x_R * m_L, so the only division is the final one by M.
     """
-    x, m = 0, 1
-    for p, r in zip(sig.seed_primes, sig.residues):
-        # solve x + m*t == r (mod p)
-        t = ((r - x) * pow(m, -1, p)) % p
-        x += m * t
-        m *= p
-    return x % m
+    # a residue tuple shorter than the seeds fixes only the leading seeds
+    moduli = tuple(sig.seed_primes[: len(sig.residues)])
+    if not moduli:
+        return 0
+    levels, inverses = _crt_basis(moduli)
+    xs = [r * s % m for r, s, m in zip(sig.residues, inverses, levels[0])]
+    for level in levels[:-1]:
+        xs = [
+            xs[i] * level[i + 1] + xs[i + 1] * level[i] for i in range(0, len(xs) - 1, 2)
+        ] + xs[len(xs) & ~1 :]
+    return xs[0] % levels[-1][0]
 
 
 @dataclass(frozen=True)

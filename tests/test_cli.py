@@ -101,6 +101,13 @@ def test_budget_exit_code_2(capsys):
     assert "budget" in err
 
 
+def test_twins_budget_exit_code_2(capsys):
+    code, out, err = run(capsys, "--sieve-budget", "1000", "twins", "--below", "5000")
+    assert code == 2
+    assert out == ""
+    assert "primorial 30030 exceeds factor-sieve budget 1000" in err
+
+
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("PSLB_SIEVE_BUDGET", "100")
     code, _, _ = run(capsys, "census", "--inner", "2310", "--outer", "30030")

@@ -90,6 +90,32 @@ def test_shared_table_views_equal_fresh_tables(limits):
                 view.odd_prime_mask()[0] = True
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300_000))
+def test_prime_count_matches_ordered_primes(limit):
+    fresh = PrimeTable(limit)
+    count = fresh.prime_count
+    assert fresh._primes is None  # counted off the flags
+    assert count == len(fresh.ordered_primes) == fresh.prime_count
+    view = primes_up_to(limit)
+    assert view.prime_count == len(view.ordered_primes) == count
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 300_000))
+def test_prime_count_of_a_loaded_table(tmp_path_factory, limit):
+    path = tmp_path_factory.mktemp("count") / "p.sieve"
+    PrimeTable(limit).save(path)
+    loaded = PrimeTable.load(path)
+    assert loaded.prime_count == len(loaded.ordered_primes) == len(PrimeTable(limit).ordered_primes)
+
+
+def test_prime_count_at_budget_builds_no_prime_array():
+    table = PrimeTable(100_000_000)
+    assert table.prime_count == 5_761_455
+    assert table._primes is None
+
+
 def check_neighbors(n):
     above, below = next_prime(n), prev_prime(n)  # next_prime first: it may grow the table
     assert below <= n < above and is_prime(below) and is_prime(above)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslb import signatures
 from pslb.errors import BudgetError, DomainError
 from pslb.primes import nth_primorial, primes_up_to, seed_prime_set
 from pslb.signatures import (
@@ -12,6 +13,7 @@ from pslb.signatures import (
     VERDICT_POTENTIAL_PRIME,
     VERDICT_SEED_PRIME,
     VERDICT_UNIT,
+    ModularSignature,
     certified_mask,
     classify,
     crt_reconstruct,
@@ -222,3 +224,103 @@ def test_masks_match_arange_formulas(limit, core):
 def test_seed_check_budget():
     with pytest.raises(BudgetError):
         signature(5, (2, 100_000_007))
+
+
+def test_seed_check_budget_on_every_call():
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            signature(5, (2, 3, 100_000_007))
+
+
+# -- subproduct-tree CRT against the iterative fold it replaces ---------------
+
+def fold_crt(sig):
+    """Oracle: fold each modulus into one growing modulus, left to right."""
+    x, m = 0, 1
+    for p, r in zip(sig.seed_primes, sig.residues):
+        t = ((r - x) * pow(m, -1, p)) % p  # solve x + m*t == r (mod p)
+        x += m * t
+        m *= p
+    return x % m
+
+
+PRIMES_BELOW_20000 = primes_up_to(20_000).ordered_primes.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_crt_matches_fold_on_arbitrary_residues(data):
+    seeds = sorted(data.draw(
+        st.lists(st.sampled_from(PRIMES_BELOW_20000), min_size=1, max_size=300, unique=True),
+        label="seeds",
+    ))
+    residues = data.draw(
+        st.lists(st.integers(), min_size=len(seeds), max_size=len(seeds)), label="residues"
+    )
+    sig = ModularSignature(1, tuple(seeds), tuple(residues))
+    assert crt_reconstruct(sig) == fold_crt(sig)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33])
+def test_crt_matches_fold_at_every_tree_shape(n):
+    # odd and even counts at every level: carried nodes at several depths
+    seeds = tuple(PRIMES_BELOW_20000[-n:])
+    sig = ModularSignature(1, seeds, tuple(range(-n, 3 * n, 4)[:n]))
+    assert crt_reconstruct(sig) == fold_crt(sig)
+
+
+@pytest.mark.parametrize("z", [1, 123_456_789, nth_primorial(9).value - 1])
+def test_crt_round_trip_at_23_primorial(z):
+    seeds = seed_prime_set(nth_primorial(9)).all_seeds  # 1,748 seeds
+    sig = signature(z, seeds)
+    assert crt_reconstruct(sig) == fold_crt(sig) == z
+
+
+@pytest.mark.parametrize("seeds, residues, expected", [
+    ((), (), 0),
+    ((3, 5, 7), (2, 3), 8),     # residues cut short: only the seeds they cover
+    ((3, 5), (2, 3, 4), 8),     # residues past the last seed are ignored
+])
+def test_crt_of_ragged_signatures(seeds, residues, expected):
+    sig = ModularSignature(1, seeds, residues)
+    assert crt_reconstruct(sig) == fold_crt(sig) == expected
+
+
+def test_crt_rejects_repeated_moduli():
+    sig = ModularSignature(1, (3, 3), (1, 2))
+    with pytest.raises(ValueError):
+        crt_reconstruct(sig)
+    with pytest.raises(ValueError):
+        fold_crt(sig)
+
+
+# -- the seed check, once per seed tuple --------------------------------------
+
+def test_invalid_seeds_raise_on_every_call():
+    for seeds in ((2, 4), (3, 2), ()):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                signature(5, seeds)
+
+
+def test_seed_iterables_give_the_tuple_signature():
+    expected = signature(2291, SEEDS_2310)
+    assert signature(2291, list(SEEDS_2310)) == expected
+    assert signature(2291, (s for s in SEEDS_2310)) == expected
+    assert signature(2291, np.array(SEEDS_2310)) == expected
+    assert all(type(s) is int for s in signature(2291, np.array(SEEDS_2310)).seed_primes)
+
+
+def test_seed_tuple_is_checked_once(monkeypatch):
+    seeds = seed_prime_set(nth_primorial(9)).all_seeds
+    signatures._check_seeds.cache_clear()
+    lookups = []
+
+    def counting_primes_up_to(limit):
+        lookups.append(limit)
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(signatures, "primes_up_to", counting_primes_up_to)
+    for z in (1, 2291, 123_456_789):
+        assert signature(z, seeds).residues == tuple(z % s for s in seeds)
+    assert lookups == [seeds[-1]]
