@@ -306,6 +306,9 @@ def _audit_t7(cfg) -> ClaimReport:
 
 
 def _audit_t8(cfg) -> ClaimReport:
+    # T8 holds by construction: the partner E - p1 lies below E, so below the
+    # enclosing primorial, and the seeds reach its square root, so a partner
+    # with no seed factor is prime. The brute scan stays as the claim's oracle.
     upper = cfg["t8_upper"]
     violations = goldbach.mismatch_violations(upper)
     rep = ClaimReport("T8", f"all even 6 <= E <= {upper}", PASS)

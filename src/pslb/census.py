@@ -66,7 +66,8 @@ def _census_masks(p: Primorial, budget: int) -> tuple[np.ndarray, np.ndarray, np
     """
     prime_value_mask = _prime_value_mask(p, budget)
     pp = potential_prime_mask(p.value, p.prime_factors)
-    new_comp = pp & ~prime_value_mask[1:]
+    new_comp = ~prime_value_mask[1:]
+    new_comp &= pp
     new_comp[:1] = False  # z = 1
     return prime_value_mask, pp, new_comp
 
@@ -176,11 +177,11 @@ def cycle_census(inner: Primorial, outer: Primorial,
     value_mask, pp, new_comp = _census_masks(outer, budget)
     pt, tt = twin_masks(outer.value, outer.prime_factors, value_mask)
     n_cycles = outer.value // inner.value
-    # one row per cycle of integers (c-1)*inner+1 .. c*inner
-    per_cycle = np.stack([
-        m.reshape(n_cycles, inner.value).sum(axis=1)
-        for m in (pp, pt, pt & ~tt, tt, new_comp)
-    ], axis=1)
+    # one row per cycle of integers (c-1)*inner+1 .. c*inner; every true-twin
+    # anchor is a potential one, so false twins are the difference
+    pp_n, pt_n, tt_n, nc_n = (m.reshape(n_cycles, inner.value).sum(axis=1)
+                              for m in (pp, pt, tt, new_comp))
+    per_cycle = np.stack([pp_n, pt_n, pt_n - tt_n, tt_n, nc_n], axis=1)
     cum = np.cumsum(per_cycle, axis=0)
     return [
         CensusCounts(
@@ -212,6 +213,19 @@ class Figure1Window:
     cumulative_new_composites: int
 
 
+def _window_counts(mask: np.ndarray, width: int) -> np.ndarray:
+    """True entries per window of `width`, the last window possibly shorter.
+
+    The full windows are summed as rows of a reshaped view, which reduces
+    the bool mask in buffered chunks instead of casting all of it first.
+    """
+    full = len(mask) - len(mask) % width
+    counts = mask[:full].reshape(-1, width).sum(axis=1)
+    if full < len(mask):
+        counts = np.append(counts, np.count_nonzero(mask[full:]))
+    return counts
+
+
 def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Figure1Window]:
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
@@ -219,8 +233,8 @@ def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Fi
     width = 2 * seed_prime_set(p).max_seed
     starts = np.arange(0, p.value, width)
     ends = np.minimum(starts + width, p.value)
-    potential = np.add.reduceat(pp, starts, dtype=np.int64)
-    cum = np.cumsum(np.add.reduceat(new_comp, starts, dtype=np.int64))
+    potential = _window_counts(pp, width)
+    cum = np.cumsum(_window_counts(new_comp, width))
     return [
         Figure1Window(
             index=i + 1,

@@ -77,6 +77,7 @@ class PrimeTable:
             _odd_flags = sieve_odd_flags(limit)
         self._odd = _read_only(_odd_flags)
         self._primes: np.ndarray | None = None
+        self._parent: PrimeTable | None = None  # set on views, whose primes are cut from it
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
@@ -91,7 +92,11 @@ class PrimeTable:
     @property
     def ordered_primes(self) -> np.ndarray:
         if self._primes is None:
-            self._primes = _read_only(np.concatenate([[2], 2 * np.flatnonzero(self._odd) + 1]))
+            if self._parent is not None:
+                primes = self._parent.ordered_primes
+                self._primes = primes[: np.searchsorted(primes, self.limit, side="right")]
+            else:
+                self._primes = _read_only(np.concatenate([[2], 2 * np.flatnonzero(self._odd) + 1]))
         return self._primes
 
     @property
@@ -104,23 +109,25 @@ class PrimeTable:
         return self._odd
 
     def prime_mask(self) -> np.ndarray:
-        """Boolean mask indexed by integer value, 0..limit."""
+        """Boolean mask indexed by integer value, 0..limit: the odd flags at
+        the odd values, and 2."""
         mask = np.zeros(self.limit + 1, dtype=bool)
-        mask[self.ordered_primes] = True
+        mask[1::2] = self._odd
+        mask[2] = True  # limit >= 2
         return mask
 
     def _view(self, limit: int) -> "PrimeTable":
-        """The table up to limit <= self.limit, as slices of this one's arrays."""
+        """The table up to limit <= self.limit, as slices of this one's arrays;
+        its prime array is cut from this one's only when first asked for."""
         view = PrimeTable(limit, _odd_flags=self._odd[: (limit + 1) // 2])
-        primes = self.ordered_primes
-        view._primes = primes[: np.searchsorted(primes, limit, side="right")]
+        view._parent = self
         return view
 
     # -- cache file ----------------------------------------------------------
 
     def save(self, path) -> None:
         limit = struct.pack("<Q", self.limit)
-        body = np.packbits(self._odd).tobytes()
+        body = np.packbits(self._odd)  # written and checksummed as a buffer, no bytes copy
         with open(path, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(struct.pack("<B", CACHE_VERSION))
@@ -130,9 +137,13 @@ class PrimeTable:
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
-        """Read a v2 (checksummed) or v1 cache file; DomainError if it is corrupt."""
+        """Read a v2 (checksummed) or v1 cache file; DomainError if it is corrupt.
+
+        The body is checksummed and unpacked through a memoryview, and the
+        unpacked bytes are viewed as the flags, so nothing is copied.
+        """
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = memoryview(fh.read())
         if len(blob) < 5:
             raise DomainError(f"bad sieve cache: file is only {len(blob)} bytes")
         if blob[:4] != CACHE_MAGIC:
@@ -157,15 +168,14 @@ class PrimeTable:
             (stored,) = struct.unpack("<I", blob[13:17])
             if zlib.crc32(body, zlib.crc32(blob[5:13])) != stored:
                 raise DomainError("bad sieve cache: checksum mismatch")
-        flags = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:size].astype(bool)
+        flags = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=size).view(bool)
         return cls(limit, _odd_flags=flags)
 
 
 # The shared table; it starts at _TABLE_FLOOR so small limits sieve once.
-# Views cached by primes_up_to keep the table they were cut from alive. Each
-# growth at least doubles the limit up to the budget, so all older tables
-# together stay smaller than twice the current one (at the cap, 2**16 + ... +
-# 2**26 ~ 1.34e8 against 1e8).
+# Each growth at least doubles the limit up to the budget and drops the views
+# cached by primes_up_to, so the table it replaces is freed once no caller
+# holds a view of it.
 _TABLE_FLOOR = 1 << 16
 _table: PrimeTable | None = None
 
@@ -176,6 +186,7 @@ def _shared_table(limit: int) -> PrimeTable:
     if _table is None or _table.limit < limit:
         grown = 2 * _table.limit if _table is not None else _TABLE_FLOOR
         _table = PrimeTable(max(limit, min(grown, DEFAULT_PRIMALITY_BUDGET)))
+        primes_up_to.cache_clear()
     return _table
 
 

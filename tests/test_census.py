@@ -1,5 +1,7 @@
 """Counting-layer tests: totients, new composites, prime-count formulas,
 cycle censuses and the window series."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from pslb.census import (
     twin_masks,
 )
 from pslb.errors import BudgetError, DomainError
-from pslb.primes import nth_primorial, primes_up_to
+from pslb.primes import nth_primorial, primes_up_to, seed_prime_set
 
 
 def test_totients_match_reference_column():
@@ -211,3 +213,43 @@ def test_twin_masks_match_arange_formula(limit):
     for got, want in zip(twin_masks(limit, core, value_mask),
                          arange_twin_masks(limit, core, value_mask)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", range(3, 8))  # 30 (width 10 divides it) .. 510510
+def test_figure1_series_matches_reduceat(k):
+    prim = nth_primorial(k)
+    z = np.arange(1, prim.value + 1, dtype=np.int64)
+    pp = z % 2 == 1
+    for q in prim.prime_factors[1:]:
+        pp &= z % q != 0
+    new_comp = np.zeros(prim.value, dtype=bool)
+    new_comp[arange_new_composites(prim) - 1] = True
+    starts = np.arange(0, prim.value, 2 * seed_prime_set(prim).max_seed)
+    windows = figure1_series(prim)
+    assert [w.window_end - w.window_length for w in windows] == starts.tolist()
+    assert [w.potential_primes for w in windows] == \
+        np.add.reduceat(pp, starts, dtype=np.int64).tolist()
+    assert [w.cumulative_new_composites for w in windows] == \
+        np.cumsum(np.add.reduceat(new_comp, starts, dtype=np.int64)).tolist()
+
+
+@pytest.mark.parametrize("ks", [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 7)])
+def test_cycle_census_false_twins_match_mask_difference(ks):
+    inner, outer = map(nth_primorial, ks)
+    pt, tt = twin_masks(outer.value, outer.prime_factors, primes_up_to(outer.value).prime_mask())
+    false = (pt & ~tt).reshape(-1, inner.value).sum(axis=1)
+    rows = cycle_census(inner, outer)
+    assert [r.false_twins for r in rows] == false.tolist()
+    assert [r.cumulative_false_twins for r in rows] == np.cumsum(false).tolist()
+
+
+def test_figure1_series_memory_per_integer():
+    prim = nth_primorial(7)
+    figure1_series(prim)  # warm the shared table and the seed set
+    tracemalloc.start()
+    try:
+        figure1_series(prim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * prim.value

@@ -1,7 +1,10 @@
 """Sieve, primorial and seed-partition tests against brute-force oracles."""
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 import zlib
 from contextlib import contextmanager
 
@@ -88,6 +91,35 @@ def test_shared_table_views_equal_fresh_tables(limits):
                 view.ordered_primes[0] = 4
             with pytest.raises(ValueError):
                 view.odd_prime_mask()[0] = True
+
+
+def test_growth_frees_the_replaced_table():
+    with empty_shared_table():
+        primes_up_to(1000).ordered_primes  # cache a view cut from the first table
+        old = primes._table
+        refs = [weakref.ref(x) for x in (old, old.odd_prime_mask(), old.ordered_primes)]
+        del old
+        primes_up_to(primes._table.limit + 1)
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 3
+
+
+def scatter_prime_mask(table):
+    """Reference value mask: the ordered primes scattered into zeros."""
+    mask = np.zeros(table.limit + 1, dtype=bool)
+    mask[table.ordered_primes] = True
+    return mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300_000))
+def test_prime_mask_matches_ordered_primes_scatter(tmp_path_factory, limit):
+    path = tmp_path_factory.mktemp("mask") / "p.sieve"
+    PrimeTable(limit).save(path)
+    for table in (PrimeTable(limit), primes_up_to(limit), PrimeTable.load(path)):
+        mask = table.prime_mask()
+        assert mask.dtype == bool and mask.flags.writeable
+        assert np.array_equal(mask, scatter_prime_mask(table))
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,6 +331,58 @@ def test_cache_round_trip(tmp_path):
     loaded = PrimeTable.load(path)
     assert loaded.limit == 12345
     assert np.array_equal(loaded.odd_prime_mask(), table.odd_prime_mask())
+
+
+@pytest.mark.parametrize("limit", (2, 3, 17, 100_001))  # odd counts 1, 2, 9, 50001
+def test_cache_round_trip_with_a_partial_last_byte(tmp_path, limit):
+    path = tmp_path / "p.sieve"
+    table = PrimeTable(limit)
+    table.save(path)
+    loaded = PrimeTable.load(path)
+    assert loaded.limit == limit
+    flags = loaded.odd_prime_mask()
+    assert flags.dtype == bool and flags.view(np.uint8).max() == (limit > 2)
+    assert np.array_equal(flags, table.odd_prime_mask())
+    assert np.array_equal(loaded.ordered_primes, table.ordered_primes)
+    with pytest.raises(ValueError):
+        flags[0] = True
+    with pytest.raises(ValueError):
+        loaded.ordered_primes[0] = 4
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 1  # the last bit of the bitset, a padding bit when the count is not a multiple of 8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DomainError):
+        PrimeTable.load(path)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_load_makes_no_copy_of_the_flags(tmp_path):
+    path = tmp_path / "p.sieve"
+    PrimeTable(10_000_000).save(path)
+    assert traced_peak(lambda: PrimeTable.load(path)) <= 1.5 * 5_000_000
+
+
+def test_prime_mask_builds_no_prime_array():
+    table = PrimeTable(10_000_000)
+    assert traced_peak(table.prime_mask) <= 1.2 * (table.limit + 1)
+    assert table._primes is None
+
+
+def test_views_cut_their_primes_only_when_asked():
+    with empty_shared_table():
+        view = primes_up_to(1000)
+        view.prime_mask(), view.prime_count
+        assert view._primes is None and primes._table._primes is None
+        assert view.ordered_primes.base is primes._table.ordered_primes
 
 
 def test_cache_header_layout(tmp_path):
