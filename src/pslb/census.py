@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .primes import Primorial, primes_up_to, seed_prime_set
+from .primes import Primorial, max_seed_prime_for, primes_up_to
 from .signatures import potential_prime_mask, potential_twin_mask
 
 DEFAULT_FACTOR_BUDGET = 510_510
@@ -46,8 +46,9 @@ class NewCompositeSet:
         return len(self.members)
 
     @property
-    def least_member(self) -> int:
-        return int(self.members[0])
+    def least_member(self) -> int | None:
+        """The least member, or None for an empty set (up to 5# = 30 every seed is core)."""
+        return int(self.members[0]) if len(self.members) else None
 
 
 def _prime_value_mask(p: Primorial, budget: int) -> np.ndarray:
@@ -88,27 +89,26 @@ def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> in
     return len(p.prime_factors) + totient_of_primorial(p) - 1 - n_b
 
 
-def _check_eq1_seeds(n: int, seeds) -> tuple[int, ...]:
+def _eq1_seeds(n: int) -> tuple[int, ...]:
+    """The primes <= sqrt(n), the seeds Eq. 1 sieves n with."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    seeds = tuple(int(s) for s in seeds)
+    root = math.isqrt(n)
+    seeds = tuple(primes_up_to(root).ordered_primes.tolist()) if root >= 2 else ()
     if len(seeds) > 20:
         raise BudgetError(f"{len(seeds)} seeds is too many for subset enumeration")
-    root = math.isqrt(n)
-    expected = tuple(int(q) for q in primes_up_to(max(root, 2)).ordered_primes if q <= root)
-    if seeds != expected:
-        raise DomainError(f"seeds must be all primes <= sqrt({n}) = {expected}, got {seeds}")
     return seeds
 
 
-def seed_multiple_level_counts(n: int, seeds) -> list[int]:
+def seed_multiple_level_counts(n: int) -> list[int]:
     """Per-depth inclusion-exclusion sums of seed multiples up to n.
 
-    Level k holds the sum of floor(n / product) over all k-subsets of the
-    seeds; the signed alternating total counts distinct seed multiples
-    (e.g. 117 - 45 + 6 - 0 = 78 for n = 100, seeds 2, 3, 5, 7).
+    The seeds are the primes <= sqrt(n). Level k holds the sum of
+    floor(n / product) over all k-subsets of them; the signed alternating
+    total counts distinct seed multiples (e.g. 117 - 45 + 6 - 0 = 78 for
+    n = 100, seeds 2, 3, 5, 7).
     """
-    seeds = _check_eq1_seeds(n, seeds)
+    seeds = _eq1_seeds(n)
     levels = []
     for k in range(1, len(seeds) + 1):
         total = 0
@@ -122,13 +122,14 @@ def seed_multiple_level_counts(n: int, seeds) -> list[int]:
     return levels
 
 
-def prime_count_via_eq1(n: int, seeds) -> int:
-    """Legendre-style count: n - 1 + #seeds - #multiples-of-seeds.
+def prime_count_via_eq1(n: int) -> int:
+    """Legendre-style count: n - 1 + #seeds - #multiples-of-seeds, with the
+    primes <= sqrt(n) as seeds.
 
     The inclusion-exclusion multiple count includes the seed primes
     themselves; the +#seeds term compensates.
     """
-    levels = seed_multiple_level_counts(n, seeds)  # one level per seed
+    levels = seed_multiple_level_counts(n)  # one level per seed
     multiples = sum(v if k % 2 == 0 else -v for k, v in enumerate(levels))
     return n - 1 + len(levels) - multiples
 
@@ -174,13 +175,15 @@ def cycle_census(inner: Primorial, outer: Primorial,
     """
     if outer.value % inner.value != 0:
         raise DomainError(f"{inner.value} does not divide {outer.value}")
-    value_mask, pp, new_comp = _census_masks(outer, budget)
-    pt, tt = twin_masks(outer.value, outer.prime_factors, value_mask)
     n_cycles = outer.value // inner.value
-    # one row per cycle of integers (c-1)*inner+1 .. c*inner; every true-twin
-    # anchor is a potential one, so false twins are the difference
-    pp_n, pt_n, tt_n, nc_n = (m.reshape(n_cycles, inner.value).sum(axis=1)
-                              for m in (pp, pt, tt, new_comp))
+    # one row per cycle of integers (c-1)*inner+1 .. c*inner; two masks are
+    # counted and dropped before the twin masks, so three at most are alive
+    value_mask, pp, new_comp = _census_masks(outer, budget)
+    pp_n, nc_n = _window_counts(pp, inner.value), _window_counts(new_comp, inner.value)
+    del pp, new_comp
+    pt, tt = twin_masks(outer.value, outer.prime_factors, value_mask)
+    # every true-twin anchor is a potential one, so false twins are the difference
+    pt_n, tt_n = _window_counts(pt, inner.value), _window_counts(tt, inner.value)
     per_cycle = np.stack([pp_n, pt_n, pt_n - tt_n, tt_n, nc_n], axis=1)
     cum = np.cumsum(per_cycle, axis=0)
     return [
@@ -230,7 +233,7 @@ def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Fi
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
     pp, new_comp = _census_masks(p, budget)[1:]
-    width = 2 * seed_prime_set(p).max_seed
+    width = 2 * max_seed_prime_for(p.value)
     starts = np.arange(0, p.value, width)
     ends = np.minimum(starts + width, p.value)
     potential = _window_counts(pp, width)

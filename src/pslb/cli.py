@@ -108,17 +108,15 @@ def _cmd_signature(args) -> tables.TableData:
         return tables.TableData(
             0, f"signature of {args.z}", ("seed", "residue"), rows
         )
-    prim = smallest_primorial_at_least(max(args.z, 30))
-    sps = seed_prime_set(prim)
+    # the least primorial >= z, and >= 30, the first with a seed partition
+    sps = seed_prime_set(smallest_primorial_at_least(max(args.z, 30)))
     sig = signature(args.z, sps.all_seeds)
-    cls = classify(args.z, sps) if args.z <= prim.value else None
+    verdict = classify(args.z, sps).verdict
     rows = [
         [p, r, "core" if p in sps.core else "non-core"]
         for p, r in zip(sig.seed_primes, sig.residues)
     ]
-    title = f"signature of {args.z} under primorial {prim.value}"
-    if cls is not None:
-        title += f" ({cls.verdict})"
+    title = f"signature of {args.z} under primorial {sps.primorial.value} ({verdict})"
     return tables.TableData(0, title, ("seed", "residue", "role"), rows)
 
 
@@ -154,17 +152,16 @@ def _cmd_goldbach(args) -> tables.TableData:
         rows = [[p.p1, p.p2] for p in goldbach.goldbach_pairs(E)]
         return tables.TableData(0, f"prime pairs summing to {E}", ("p1", "p2"), rows)
     if args.filter:
-        sps = seed_prime_set(smallest_primorial_at_least(E))
-        primes = goldbach.mismatch_filter(E, sps)
+        primes = goldbach.mismatch_filter(E)
         return tables.TableData(
             0, f"mismatch-filter primes for {E}", ("p1",), [[p] for p in primes]
         )
     if args.potential_count:
-        prim = smallest_primorial_at_least(E)
-        count = goldbach.exact_potential_goldbach_count(E, prim)
+        count = goldbach.exact_potential_goldbach_count(E)
+        prim = smallest_primorial_at_least(E).value
         return tables.TableData(
-            0, f"potential solution classes for {E} mod {prim.value}",
-            ("even", "primorial", "count"), [[E, prim.value, count]],
+            0, f"potential solution classes for {E} mod {prim}",
+            ("even", "primorial", "count"), [[E, prim, count]],
         )
     sol = goldbach.goldbach_solve(E)
     return tables.TableData(

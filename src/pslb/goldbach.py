@@ -2,7 +2,6 @@
 signature-mismatch solution procedure."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +9,10 @@ import numpy as np
 from .errors import DomainError
 from .primes import (
     PrimeTable,
-    SeedPrimeSet,
     largest_primorial_at_most,
+    max_seed_prime_for,
     next_prime,
-    prev_prime,
     primes_up_to,
-    seed_prime_set,
     smallest_primorial_at_least,
 )
 from .signatures import residue_sieve
@@ -106,12 +103,14 @@ def residue_addition_table(p: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % p
 
 
-def _seed_free_mask(lo: int, hi: int, seeds) -> np.ndarray:
-    """Mask over lo..hi of the integers that no seed prime divides."""
+def _seed_free_mask(lo: int, hi: int, n: int) -> np.ndarray:
+    """Mask over lo..hi of the integers that no seed prime of n divides:
+    none of the primes up to max_seed_prime_for(n)."""
+    seeds = primes_up_to(max_seed_prime_for(n)).ordered_primes.tolist()
     return residue_sieve(lo, hi, {q: (0,) for q in seeds})
 
 
-def mismatch_filter(E: int, sps: SeedPrimeSet) -> list[int]:
+def mismatch_filter(E: int) -> list[int]:
     """Primes p1 below E/2 whose residues differ from E's at every seed prime.
 
     The trivial solution p1 = E/2 (when prime) is appended; it is the one
@@ -122,17 +121,11 @@ def mismatch_filter(E: int, sps: SeedPrimeSet) -> list[int]:
     window (E/2, E - 2], gathered at E - p1.
     """
     _check_even(E)
-    expected = smallest_primorial_at_least(E)
-    if sps.primorial.value != expected.value:
-        raise DomainError(
-            f"seed set is for {sps.primorial.value}, expected smallest primorial >= {E} "
-            f"({expected.value})"
-        )
     table = primes_up_to(E)
     primes = table.ordered_primes
     p1 = primes[: np.searchsorted(primes, E // 2)]  # 2 * p1 < E
     lo = E // 2 + 1
-    keep = _seed_free_mask(lo, E - 2, sps.all_seeds)
+    keep = _seed_free_mask(lo, E - 2, E)
     out = p1[keep[E - p1 - lo]].tolist()
     if table.is_prime(E // 2):
         out.append(E // 2)
@@ -158,10 +151,8 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     while lo <= upper:
         prim = smallest_primorial_at_least(lo)
         hi = min(prim.value, upper)
-        # 6 is the only enclosing primorial below 30; its lone seed is 2.
-        seeds = seed_prime_set(prim).all_seeds if prim.value >= 30 else (2,)
         # composite partners that pass the filter; index = partner value
-        rough_composite = _seed_free_mask(0, hi, seeds) & ~mask[: hi + 1]
+        rough_composite = _seed_free_mask(0, hi, prim.value) & ~mask[: hi + 1]
         for E in range(lo, hi + 1, 2):
             p1 = half[: np.searchsorted(half, E // 2)]
             violations.extend((E, p) for p in p1[rough_composite[E - p1]].tolist())
@@ -169,15 +160,12 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     return violations
 
 
-def exact_potential_goldbach_count(E: int, p) -> int:
-    """Residue classes mod the enclosing primorial that stay odd, coprime to
+def exact_potential_goldbach_count(E: int) -> int:
+    """Residue classes mod the least primorial >= E that stay odd, coprime to
     the core seeds and mismatched with E at each of them."""
     _check_even(E)
-    expected = smallest_primorial_at_least(E)
-    if p.value != expected.value:
-        raise DomainError(f"primorial {p.value} does not enclose {E} (expected {expected.value})")
     out = 1
-    for q in p.prime_factors[1:]:
+    for q in smallest_primorial_at_least(E).prime_factors[1:]:
         out *= (q - 1) if E % q == 0 else (q - 2)
     return out
 
@@ -201,15 +189,14 @@ def goldbach_solve(E: int) -> GoldbachSolution:
     table = primes_up_to(E)
     if table.is_prime(E // 2):
         return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
-    sps = seed_prime_set(smallest_primorial_at_least(E))
-    passing = mismatch_filter(E, sps)
-    # the seeds are exactly the primes up to max_seed, and passing ascends
-    if passing and passing[0] <= sps.max_seed:
+    passing = mismatch_filter(E)
+    # the seeds are exactly the primes up to the max seed, and passing ascends
+    if passing and passing[0] <= max_seed_prime_for(E):
         p1 = passing[0]
         return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2a")
     # Scaffold existence path, anchored at the largest primorial <= E.
     A = largest_primorial_at_most(E)
-    P_B = prev_prime(math.isqrt(A.value))
+    P_B = max_seed_prime_for(A.value)
     P_Z = next_prime(P_B)
     certified = P_Z * P_Z > A.value
     if passing:

@@ -24,9 +24,9 @@ U64_MAX = 2**64 - 1
 
 CACHE_MAGIC = b"PSLB"
 CACHE_VERSION = 2
-# magic, version byte, little-endian u64 limit; v2 then adds a u32 CRC-32 of
-# the limit bytes and the bitset body
-_CACHE_HEADER = {1: 13, 2: 17}
+# magic, version byte, little-endian u64 limit, then a u32 CRC-32 of the limit
+# bytes and the bitset body
+_CACHE_HEADER = 17
 
 DEFAULT_PRIMALITY_BUDGET = 100_000_000
 
@@ -137,7 +137,7 @@ class PrimeTable:
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
-        """Read a v2 (checksummed) or v1 cache file; DomainError if it is corrupt.
+        """Read a cache file; DomainError if it is corrupt or of another version.
 
         The body is checksummed and unpacked through a memoryview, and the
         unpacked bytes are viewed as the flags, so nothing is copied.
@@ -148,26 +148,25 @@ class PrimeTable:
             raise DomainError(f"bad sieve cache: file is only {len(blob)} bytes")
         if blob[:4] != CACHE_MAGIC:
             raise DomainError("bad sieve cache: wrong magic bytes")
-        version = blob[4]
-        header = _CACHE_HEADER.get(version)
-        if header is None:
-            raise DomainError(f"bad sieve cache: unsupported version {version}")
-        if len(blob) < header:
+        if blob[4] != CACHE_VERSION:
+            # version 1 had no checksum, so a corrupt v1 body cannot be told apart
+            raise DomainError(f"bad sieve cache: unsupported version {blob[4]} "
+                              f"(rebuild it with `pslb cache build`)")
+        if len(blob) < _CACHE_HEADER:
             raise DomainError(
-                f"bad sieve cache: expected a {header}-byte header, found {len(blob)} bytes"
+                f"bad sieve cache: expected a {_CACHE_HEADER}-byte header, found {len(blob)} bytes"
             )
         (limit,) = struct.unpack("<Q", blob[5:13])
         size = (limit + 1) // 2
         expected = (size + 7) // 8
-        body = blob[header:]
+        body = blob[_CACHE_HEADER:]
         if len(body) != expected:
             raise DomainError(
                 f"bad sieve cache: expected {expected} bitset bytes, found {len(body)}"
             )
-        if version == 2:
-            (stored,) = struct.unpack("<I", blob[13:17])
-            if zlib.crc32(body, zlib.crc32(blob[5:13])) != stored:
-                raise DomainError("bad sieve cache: checksum mismatch")
+        (stored,) = struct.unpack("<I", blob[13:17])
+        if zlib.crc32(body, zlib.crc32(blob[5:13])) != stored:
+            raise DomainError("bad sieve cache: checksum mismatch")
         flags = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=size).view(bool)
         return cls(limit, _odd_flags=flags)
 

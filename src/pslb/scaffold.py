@@ -11,7 +11,8 @@ import numpy as np
 
 from .census import potential_solutions_T
 from .errors import DomainError
-from .primes import DEFAULT_PRIMALITY_BUDGET, Primorial, next_prime, nth_primorial, prev_prime, primes_up_to
+from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, max_seed_prime_for, next_prime,
+                     nth_primorial, primes_up_to)
 
 # the least table the scaffold asks for: it covers 2,724,109, the largest row
 # bound, so every table row reads one prefix
@@ -158,7 +159,7 @@ def build_table17(rows: int = 9) -> list[ScaffoldRow]:
         M = _base_primorial(k)
         P_m = M.largest_factor
         P_s = next_prime(P_m)
-        P_z = prev_prime(math.isqrt(M.value))
+        P_z = max_seed_prime_for(M.value)
         t = potential_solutions_T(M)
         pf = product_factor(P_s, P_z)
         out.append(
@@ -218,7 +219,7 @@ def build_table19_20(rows: int = 8) -> list[ScaffoldRow]:
         B = nth_primorial(A.k + 1)
         P_a, P_b = A.largest_factor, B.largest_factor
         P_s = next_prime(P_b)
-        P_c = prev_prime(math.isqrt(B.value))
+        P_c = max_seed_prime_for(B.value)
         t = potential_solutions_T(A)
         pf = product_factor(P_b, P_c)
         avg_a = avg_solutions_in_cycle(t, pf)

@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .primes import SeedPrimeSet, is_prime, primes_up_to
+from .errors import BudgetError, DomainError
+from .primes import DEFAULT_PRIMALITY_BUDGET, SeedPrimeSet, is_prime, primes_up_to
 
 VERDICT_UNIT = "unit"
 VERDICT_SEED_PRIME = "seed-prime"
@@ -157,9 +157,14 @@ def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> n
     avoids every class in forbidden[q].
 
     Index i corresponds to the integer lo+i. Each forbidden class clears one
-    strided slice, so the cost is O((hi - lo) * sum(|R_q| / q)).
+    strided slice, so the cost is O((hi - lo) * sum(|R_q| / q)). A window past
+    the primality budget raises BudgetError before anything is allocated.
     """
-    keep = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    size = max(hi - lo + 1, 0)
+    if size > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(f"residue window of {size} integers exceeds primality budget "
+                          f"{DEFAULT_PRIMALITY_BUDGET}")
+    keep = np.ones(size, dtype=bool)
     for q, residues in forbidden.items():
         if q < 1:
             raise DomainError(f"residue modulus must be >= 1, got {q}")

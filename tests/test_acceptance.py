@@ -51,11 +51,11 @@ def test_criterion_02_prime_counts():
 
 def test_criterion_03_legendre_worked_example():
     start = time.perf_counter()
-    levels = seed_multiple_level_counts(100, (2, 3, 5, 7))
+    levels = seed_multiple_level_counts(100)
     assert levels == [117, 45, 6, 0]
     assert levels[0] - levels[1] + levels[2] - levels[3] == 78
     assert 100 - 1 + 4 - 78 == 25
-    assert prime_count_via_eq1(100, (2, 3, 5, 7)) == 25
+    assert prime_count_via_eq1(100) == 25
     _report("criterion 3 (inclusion-exclusion example)", time.perf_counter() - start, 1.0)
 
 

@@ -58,6 +58,12 @@ def test_new_composites_against_brute_force():
     assert ncs.least_member == 121  # 11^2, the smallest non-core seed squared
 
 
+@pytest.mark.parametrize("k, least", [(1, None), (2, None), (3, None), (4, 121)])
+def test_new_composites_least_member(k, least):
+    # up to 5# = 30 every seed is core, so no new composite exists
+    assert new_composites(nth_primorial(k)).least_member == least
+
+
 def test_new_composite_counts():
     assert new_composites(nth_primorial(5)).count == 141
     assert new_composites(nth_primorial(6)).count == 2517
@@ -73,36 +79,37 @@ def test_prime_count_via_eq3():
 
 
 def test_prime_count_via_eq1_worked_example():
-    assert seed_multiple_level_counts(100, (2, 3, 5, 7)) == [117, 45, 6, 0]
-    assert prime_count_via_eq1(100, (2, 3, 5, 7)) == 25
+    assert seed_multiple_level_counts(100) == [117, 45, 6, 0]
+    assert prime_count_via_eq1(100) == 25
 
 
 def test_prime_count_via_eq1_matches_sieve():
-    import math
-
     for n in (50, 100, 400, 2310):
-        root = math.isqrt(n)
-        seeds = tuple(int(q) for q in primes_up_to(root).ordered_primes if q <= root)
-        assert prime_count_via_eq1(n, seeds) == primes_up_to(n).prime_count, n
+        assert prime_count_via_eq1(n) == primes_up_to(n).prime_count, n
 
 
 @pytest.mark.parametrize("n", [0, -5])
 @pytest.mark.parametrize("fn", [prime_count_via_eq1, seed_multiple_level_counts])
 def test_eq1_rejects_n_below_1(fn, n):
     with pytest.raises(DomainError):
-        fn(n, ())
+        fn(n)
 
 
 def test_prime_count_via_eq1_at_1():
-    assert prime_count_via_eq1(1, ()) == 0
+    assert prime_count_via_eq1(1) == 0
 
 
 def test_prime_count_via_eq1_validation():
-    with pytest.raises(DomainError):
-        prime_count_via_eq1(100, (2, 3, 5))  # missing seed 7
     with pytest.raises(BudgetError):
-        seeds = tuple(int(q) for q in primes_up_to(100).ordered_primes)
-        prime_count_via_eq1(100_000_000, seeds)
+        prime_count_via_eq1(100_000_000)
+
+
+def test_prime_count_via_eq1_seed_budget_edge():
+    # 71^2 = 5041 has 20 seeds (the primes <= 71); 73^2 = 5329 needs 21
+    assert len(seed_multiple_level_counts(5328)) == 20
+    assert prime_count_via_eq1(5328) == primes_up_to(5328).prime_count
+    with pytest.raises(BudgetError):
+        prime_count_via_eq1(5329)
 
 
 REFERENCE_CYCLES = [
@@ -253,3 +260,17 @@ def test_figure1_series_memory_per_integer():
     finally:
         tracemalloc.stop()
     assert peak < 8 * prim.value
+
+
+def test_cycle_census_memory_per_integer():
+    # the potential-prime and new-composite masks are counted and dropped
+    # before the two twin masks are built: at most three whole masks at once
+    prim = nth_primorial(7)
+    cycle_census(prim, prim)  # warm the shared table
+    tracemalloc.start()
+    try:
+        cycle_census(prim, prim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * prim.value

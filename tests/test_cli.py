@@ -141,6 +141,13 @@ def test_goldbach_commands(capsys):
     assert code == 1
 
 
+def test_goldbach_filter_6(capsys):
+    # the seeds of 6 are just 2, so the filter answers like the solver does
+    code, out, err = run(capsys, "goldbach", "6", "--filter")
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[1] == [["3"]]
+
+
 def test_twins_count(capsys):
     code, out, _ = run(capsys, "twins", "--below", "30030", "--count")
     assert code == 0

@@ -17,8 +17,8 @@ from pslb.goldbach import (
     mismatch_violations,
 )
 from pslb.primes import (
-    SeedPrimeSet,
-    nth_primorial,
+    max_seed_prime_for,
+    next_prime,
     primes_up_to,
     seed_prime_set,
     smallest_primorial_at_least,
@@ -101,8 +101,7 @@ def test_residue_addition_table():
 
 
 def test_mismatch_filter_68():
-    sps = seed_prime_set(smallest_primorial_at_least(68))
-    passing = mismatch_filter(68, sps)
+    passing = mismatch_filter(68)
     assert passing == [7, 31]          # 19 shares class [5] mod 7 with 68
     assert 19 not in passing
 
@@ -110,21 +109,19 @@ def test_mismatch_filter_68():
 def test_mismatch_filter_trivial_half():
     # 26 = 13 + 13: the trivial solution is appended even though 13 shares
     # residues with 26 at every seed dividing it
-    sps = seed_prime_set(smallest_primorial_at_least(26))
-    assert 13 in mismatch_filter(26, sps)
+    assert 13 in mismatch_filter(26)
 
 
-def test_mismatch_filter_wrong_seed_set():
-    sps = seed_prime_set(nth_primorial(5))
-    with pytest.raises(DomainError):
-        mismatch_filter(68, sps)  # expects the seed set of 210
+def test_mismatch_filter_6():
+    # the seeds of 6 are the primes <= sqrt(6): just 2, so 2 (partner 4) is
+    # rejected and the trivial half 3 is kept
+    assert mismatch_filter(6) == [3]
 
 
 def test_mismatch_partners_are_prime_small_scan():
     table = primes_up_to(2310)
     for E in range(8, 2311, 2):
-        sps = seed_prime_set(smallest_primorial_at_least(E))
-        for p1 in mismatch_filter(E, sps):
+        for p1 in mismatch_filter(E):
             assert table.is_prime(E - p1), (E, p1)
 
 
@@ -144,15 +141,13 @@ def test_exact_potential_count():
             1 for z in range(1, prim.value + 1)
             if z % 2 == 1 and all(z % q != 0 and z % q != E % q for q in core[1:])
         )
-        assert exact_potential_goldbach_count(E, prim) == brute, E
+        assert exact_potential_goldbach_count(E) == brute, E
 
 
 def test_exact_potential_count_formula():
-    prim = nth_primorial(5)  # 2310, odd core 3,5,7,11
-    # 330 = 2*3*5*11: factors 3, 5, 11 contribute (q-1); 7 contributes (7-2)
-    assert exact_potential_goldbach_count(330, prim) == 2 * 4 * 5 * 10
-    with pytest.raises(DomainError):
-        exact_potential_goldbach_count(68, prim)
+    # 330 lies in 2310 = 2*3*5*7*11; 330 = 2*3*5*11: factors 3, 5, 11
+    # contribute (q-1), 7 contributes (7-2)
+    assert exact_potential_goldbach_count(330) == 2 * 4 * 5 * 10
 
 
 def test_solver_cases():
@@ -216,29 +211,29 @@ def scalar_mismatch_filter(E, seeds):
 @given(st.integers(min_value=4, max_value=100_000).map(lambda h: 2 * h))
 def test_mismatch_filter_matches_scalar_rule(E):
     sps = seed_prime_set(smallest_primorial_at_least(E))
-    assert mismatch_filter(E, sps) == scalar_mismatch_filter(E, sps.all_seeds)
+    assert mismatch_filter(E) == scalar_mismatch_filter(E, sps.all_seeds)
 
 
 def test_mismatch_filter_matches_scalar_rule_small_range():
     for E in range(8, 1000, 2):
         sps = seed_prime_set(smallest_primorial_at_least(E))
-        assert mismatch_filter(E, sps) == scalar_mismatch_filter(E, sps.all_seeds), E
+        assert mismatch_filter(E) == scalar_mismatch_filter(E, sps.all_seeds), E
 
 
 def test_violation_scan_matches_scalar_rule_with_short_seed_sets(monkeypatch):
     # With the full seed sets no violation exists; cutting every seed set
-    # short lets composite partners through, so the gather is exercised.
-    def short_seed_set(prim):
-        sps = seed_prime_set(prim)
-        return SeedPrimeSet(sps.primorial, sps.core, sps.non_core[:2])
+    # short (the core and at most two non-core seeds) lets composite partners
+    # through, so the gather is exercised.
+    def short_max_seed(n):
+        core_end = smallest_primorial_at_least(n).largest_factor
+        return min(max_seed_prime_for(n), next_prime(next_prime(core_end)))
 
-    monkeypatch.setattr(goldbach, "seed_prime_set", short_seed_set)
+    monkeypatch.setattr(goldbach, "max_seed_prime_for", short_max_seed)
     upper = 3000
     table = primes_up_to(upper)
     brute = []
     for E in range(6, upper + 1, 2):
-        prim = smallest_primorial_at_least(E)
-        seeds = short_seed_set(prim).all_seeds if prim.value >= 30 else (2,)
+        seeds = primes_up_to(short_max_seed(E)).ordered_primes.tolist()
         brute += [(E, p1) for p1 in scalar_mismatch_filter(E, seeds)
                   if not table.is_prime(E - p1)]
     found = mismatch_violations(upper)

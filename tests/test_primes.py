@@ -396,15 +396,16 @@ def test_cache_header_layout(tmp_path):
     assert len(blob) == 17 + 63
 
 
-def test_cache_reads_v1(tmp_path):
-    # v1: the same header without the checksum field
-    table = PrimeTable(1000)
+def test_cache_refuses_v1(tmp_path):
+    # v1 was the same header without the checksum field, so a corrupt body
+    # went unseen: with every bit of file byte 20 flipped it read as 172
+    # primes below 1000 instead of 168
+    body = bytearray(np.packbits(PrimeTable(1000).odd_prime_mask()).tobytes())
+    body[20 - 13] ^= 0xFF
     path = tmp_path / "p.sieve"
-    path.write_bytes(b"PSLB" + bytes([1]) + (1000).to_bytes(8, "little")
-                     + np.packbits(table.odd_prime_mask()).tobytes())
-    loaded = PrimeTable.load(path)
-    assert loaded.limit == 1000 and loaded.prime_count == 168
-    assert np.array_equal(loaded.odd_prime_mask(), table.odd_prime_mask())
+    path.write_bytes(b"PSLB" + bytes([1]) + (1000).to_bytes(8, "little") + bytes(body))
+    with pytest.raises(DomainError, match="rebuild"):
+        PrimeTable.load(path)
 
 
 @settings(max_examples=100, deadline=None)

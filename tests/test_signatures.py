@@ -213,6 +213,12 @@ def test_residue_sieve_rejects_bad_modulus():
         residue_sieve(1, 10, {0: (0,)})
 
 
+def test_residue_sieve_window_over_primality_budget():
+    # 0..1e8 is 1e8 + 1 integers: refused before the mask is allocated
+    with pytest.raises(BudgetError):
+        residue_sieve(0, 10**8, {})
+
+
 @pytest.mark.parametrize("core", MASK_CORES)
 @pytest.mark.parametrize("limit", MASK_LIMITS)
 def test_masks_match_arange_formulas(limit, core):
