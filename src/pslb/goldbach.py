@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .primes import (
+    DEFAULT_PRIMALITY_BUDGET,
     PrimeTable,
     largest_primorial_at_most,
     max_seed_prime_for,
@@ -96,9 +97,16 @@ def mod3_rule(E: int) -> Mod3Rule:
 
 
 def residue_addition_table(p: int) -> np.ndarray:
-    """p x p grid of residue sums: grid[a, b] = (a + b) mod p."""
+    """p x p grid of residue sums: grid[a, b] = (a + b) mod p.
+
+    A grid of more cells than the primality budget raises BudgetError
+    before anything is allocated.
+    """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
+    if p * p > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(f"residue addition grid of {p}x{p} cells exceeds primality budget "
+                          f"{DEFAULT_PRIMALITY_BUDGET}")
     a = np.arange(p)
     return (a[:, None] + a[None, :]) % p
 

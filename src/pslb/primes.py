@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,17 +48,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Odd integers per sieve window: 1 MB of flags, about one L2 cache, so each
+# seed's strided pass stays in cache instead of going out to main memory.
+_WINDOW = 1 << 20
+
+
 def sieve_odd_flags(limit: int) -> np.ndarray:
-    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
+    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1).
+
+    A segmented sieve (Bays & Hudson, BIT 17 (1977)): the odd seeds up to
+    sqrt(limit) are found by sieving the start of the array, then every seed
+    clears its odd multiples one window at a time, from its square on, and
+    carries its next index from one window to the next.
+    """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"sieve limit {limit} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
-    flags = np.ones((limit + 1) // 2, dtype=bool)
+    size = (limit + 1) // 2
+    flags = np.ones(size, dtype=bool)
     flags[0] = False  # 1 is not prime
-    for p in range(3, math.isqrt(limit) + 1, 2):
+    root = math.isqrt(limit)
+    head = (root + 1) // 2  # the odd integers up to root
+    for p in range(3, math.isqrt(root) + 1, 2):
         if flags[p // 2]:
-            flags[p * p // 2 :: p] = False
+            flags[p * p // 2 : head : p] = False
+    # Each seed and the index of its next odd multiple, from its square on, in
+    # machine-integer arrays rather than lists of Python ints, so the sieve's
+    # peak memory stays that of its flags.
+    seeds = array("q", (2 * i + 1 for i in range(1, head) if flags[i]))
+    nxt = array("q", (p * p // 2 for p in seeds))
+    for lo in range(0, size, _WINDOW):
+        hi = min(lo + _WINDOW, size)
+        window = flags[lo:hi]
+        for j, p in enumerate(seeds):
+            i = nxt[j]
+            if i < hi:
+                window[i - lo :: p] = False
+                nxt[j] = i + ((hi - 1 - i) // p + 1) * p  # first index at or past hi
     return flags
 
 

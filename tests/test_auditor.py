@@ -1,4 +1,5 @@
 """The claim-audit engine: coverage, statuses and report structure."""
+import numpy as np
 import pytest
 
 from pslb import auditor
@@ -8,6 +9,22 @@ from pslb.errors import DomainError
 def test_all_claims_covered():
     assert len(auditor.CLAIM_IDS) == 18
     assert set(auditor.CLAIM_IDS) == set(auditor._AUDITS)
+
+
+def t1_residues(limit=2310):
+    """The residues of 1..limit at the seeds of 2310, one column per seed."""
+    seeds = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    return np.array([[z % q for q in seeds] for z in range(1, limit + 1)], dtype=np.uint8)
+
+
+def test_duplicate_rows_counts_one_duplicated_row():
+    residues = t1_residues()
+    assert auditor._duplicate_rows(residues) == 0
+    residues[1000] = residues[7]
+    assert auditor._duplicate_rows(residues) == 1
+    residues = t1_residues()
+    residues[1000, :-1] = residues[7, :-1]  # equal in every column but the last
+    assert auditor._duplicate_rows(residues) == 0
 
 
 def test_audit_all_small_scale_none_failing():

@@ -1,4 +1,6 @@
 """Prime-pair enumeration, mod-3 rules, mismatch filter and solver tests."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,18 @@ def test_residue_addition_table():
     assert (grid == 0).sum() == 7
     # P*(P-1) combinations sum to a non-zero residue
     assert (grid != 0).sum() == 7 * 6
+
+
+@pytest.mark.parametrize("p", [10_001, 20_000])
+def test_residue_addition_table_over_budget_allocates_nothing(p):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            residue_addition_table(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_mismatch_filter_68():

@@ -1,5 +1,7 @@
 """Sieve, primorial and seed-partition tests against brute-force oracles."""
 import gc
+import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +47,42 @@ def test_sieve_matches_trial_division_to_1e5():
     table = primes_up_to(100_000)
     for n in list(range(2, 2000)) + [99989, 99991, 100_000]:
         assert table.is_prime(n) == is_prime(n), n
+
+
+def plain_odd_flags(limit: int) -> np.ndarray:
+    """Reference sieve: one strided pass per odd seed over the whole flag array."""
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    flags[0] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = False
+    return flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_windowed_sieve_matches_plain_sieve(data):
+    # small windows put window edges inside a seed's stride and a seed's
+    # square in a later window; the limit keeps the window count below 1024
+    window = data.draw(st.integers(8, 4096), label="window")
+    limit = data.draw(st.integers(2, min(300_000, 2048 * window)), label="limit")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        assert np.array_equal(sieve_odd_flags(limit), plain_odd_flags(limit))
+
+
+@pytest.mark.parametrize("window", [8, 9, 64, primes._WINDOW])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_windowed_sieve_at_window_edges(window, edge):
+    limit = 2 * window + edge  # the flag array holds window or window + 1 odd integers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        assert np.array_equal(sieve_odd_flags(limit), plain_odd_flags(limit))
+
+
+def test_sieve_flags_to_1e7_are_pinned():
+    digest = hashlib.sha256(np.packbits(sieve_odd_flags(10**7))).hexdigest()
+    assert digest == "071f8b5771d0115b6c2a6920371be47db9ec5135eff45243db5ebc8a8f66926b"
 
 
 def test_prime_counts():
