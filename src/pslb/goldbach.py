@@ -107,8 +107,9 @@ def residue_addition_table(p: int) -> np.ndarray:
     if p * p > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"residue addition grid of {p}x{p} cells exceeds primality budget "
                           f"{DEFAULT_PRIMALITY_BUDGET}")
-    a = np.arange(p)
-    return (a[:, None] + a[None, :]) % p
+    a = np.arange(p, dtype=np.int64)
+    grid = np.add.outer(a, a)
+    return np.remainder(grid, p, out=grid)  # in place: one grid at the peak
 
 
 def _seed_free_mask(lo: int, hi: int, n: int) -> np.ndarray:

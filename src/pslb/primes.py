@@ -15,7 +15,7 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -330,13 +330,17 @@ class SeedPrimeSet:
     def smallest_non_core(self) -> int | None:
         return self.non_core[0] if self.non_core else None
 
-    @property
+    @cached_property
     def all_seeds(self) -> tuple[int, ...]:
         return self.core + self.non_core
 
 
+@lru_cache(maxsize=8)
 def seed_prime_set(p: Primorial) -> SeedPrimeSet:
-    """Partition the seed primes of a primorial into core and non-core."""
+    """Partition the seed primes of a primorial into core and non-core.
+
+    Memoised per primorial; a primorial below 30 raises on every call.
+    """
     if p.value < 30:
         raise DomainError(f"seed prime partition needs primorial >= 30, got {p.value}")
     primes = primes_up_to(math.isqrt(p.value)).ordered_primes

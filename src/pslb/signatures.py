@@ -1,9 +1,11 @@
 """Modular signatures: residue sequences, CRT reconstruction, classification."""
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,62 +28,108 @@ class ModularSignature:
     residues: tuple[int, ...]
 
 
+_INT64_END = 1 << 63
+
+
+class _SeedTuple(NamedTuple):
+    """A checked seed tuple, cached once per tuple by _check_seeds."""
+
+    ints: tuple[int, ...]
+    array: np.ndarray  # the seeds as a read-only int64 array
+
+
 @lru_cache(maxsize=8)
-def _check_seeds(seeds: tuple[int, ...]) -> tuple[int, ...]:
-    """The seed tuple itself once it passes; an invalid tuple raises on every call."""
-    if not seeds:
+def _check_seeds(seeds: tuple) -> _SeedTuple:
+    """The record of a seed tuple, keyed on the tuple as passed; an invalid
+    tuple raises on every call."""
+    ints = tuple(int(s) for s in seeds)
+    if not ints:
         raise DomainError("seed prime list is empty")
-    if list(seeds) != sorted(set(seeds)):
-        raise DomainError(f"seed primes must be strictly ascending: {seeds}")
-    table = primes_up_to(max(seeds[-1], 2))
-    for s in seeds:
+    if list(ints) != sorted(set(ints)):
+        raise DomainError(f"seed primes must be strictly ascending: {ints}")
+    table = primes_up_to(max(ints[-1], 2))
+    for s in ints:
         if not table.is_prime(s):
             raise DomainError(f"seed {s} is not prime")
-    return seeds
+    seed_array = np.array(ints, dtype=np.int64)
+    seed_array.flags.writeable = False
+    return _SeedTuple(ints, seed_array)
 
 
 def signature(z: int, seeds) -> ModularSignature:
     """Residue sequence of z under each seed prime, in seed order."""
     if z < 1:
         raise DomainError(f"need z >= 1, got {z}")
-    seeds = _check_seeds(tuple(int(s) for s in seeds))
-    return ModularSignature(z, seeds, tuple(z % s for s in seeds))
+    rec = _check_seeds(tuple(seeds))
+    if isinstance(z, int) and z < _INT64_END:
+        residues = tuple(np.remainder(z, rec.array).tolist())
+    else:
+        residues = tuple(z % s for s in rec.ints)
+    return ModularSignature(z, rec.ints, residues)
 
 
 @lru_cache(maxsize=8)
-def _crt_basis(moduli: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Subproduct tree of non-empty moduli, leaves first, and s_i = (M / m_i)^-1 mod m_i.
+def _garner_basis(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """M_k^-1 mod m_k for each modulus m_k, M_k the product of the moduli
+    before it, and the moduli as an int64 array when each is a positive int64.
 
-    An odd node at the end of a level is carried up unchanged; the last level
-    holds M alone. pow raises ValueError when the moduli are not coprime.
+    pow raises ValueError when the moduli are not coprime.
     """
-    levels = [moduli]
-    while len(levels[-1]) > 1:
-        below = levels[-1]
-        levels.append(tuple(a * b for a, b in zip(below[::2], below[1::2])) + below[len(below) & ~1 :])
-    root = levels[-1][0]
-    # (M / m) mod m = (M mod m^2) / m: a short remainder instead of a long quotient
-    return tuple(levels), tuple(pow(root % (m * m) // m, -1, m) for m in moduli)
+    inverses, prefix = [], 1
+    for m in moduli:
+        inverses.append(pow(prefix % m, -1, m))
+        prefix *= m
+    try:
+        moduli_array = np.array(moduli, dtype=np.int64)
+    except OverflowError:
+        return tuple(inverses), None
+    moduli_array.flags.writeable = False
+    return tuple(inverses), moduli_array if moduli_array.min() >= 1 else None
+
+
+def _meets_every_residue(x: int, moduli: np.ndarray | None, residues) -> bool:
+    """Whether x (< 2^63) mod each modulus is the residue at its place.
+
+    Without a moduli array, or with a residue that is not an int64 (too
+    large, or not an integer), it never is.
+    """
+    if moduli is None:
+        return False
+    try:
+        want = np.frombuffer(array("q", residues), dtype=np.int64)
+    except (OverflowError, TypeError):
+        return False
+    return np.array_equal(np.remainder(x, moduli), want)
 
 
 def crt_reconstruct(sig: ModularSignature) -> int:
     """Unique solution in [0, prod(seeds)) matching every residue.
 
-    x = sum(c_i * M / m_i) with c_i = r_i * s_i mod m_i, summed pairwise up a
-    subproduct tree (Borodin & Moenck 1974): a node combines its children as
-    x_L * m_R + x_R * m_L, so the only division is the final one by M.
+    Garner's mixed-radix steps (Garner 1959): step k makes x meet the residue
+    at m_k by x += t_k * M_k with t_k = (r_k - x) * M_k^-1 mod m_k, M_k the
+    product of the moduli before m_k. x stays below M_k, so once a step finds
+    t_k = 0 and x meets every residue, x is the solution in [0, M) and the
+    steps stop (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+    That compare takes one remainder over the moduli's int64 array while
+    x < 2^63; the last residue is tried first, as a cheap filter for the
+    steps where t_k is 0 by chance.
     """
     # a residue tuple shorter than the seeds fixes only the leading seeds
     moduli = tuple(sig.seed_primes[: len(sig.residues)])
     if not moduli:
         return 0
-    levels, inverses = _crt_basis(moduli)
-    xs = [r * s % m for r, s, m in zip(sig.residues, inverses, levels[0])]
-    for level in levels[:-1]:
-        xs = [
-            xs[i] * level[i + 1] + xs[i + 1] * level[i] for i in range(0, len(xs) - 1, 2)
-        ] + xs[len(xs) & ~1 :]
-    return xs[0] % levels[-1][0]
+    inverses, moduli_array = _garner_basis(moduli)
+    residues = sig.residues[: len(moduli)]
+    last_m, last_r = moduli[-1], residues[-1]
+    x, prefix = 0, 1
+    for m, inverse, r in zip(moduli, inverses, residues):
+        t = (r - x) * inverse % m
+        if (t == 0 and x < _INT64_END and x % last_m == last_r
+                and _meets_every_residue(x, moduli_array, residues)):
+            return x
+        x += t * prefix
+        prefix *= m
+    return x % prefix  # a no-op unless a modulus is negative
 
 
 @dataclass(frozen=True)
@@ -107,12 +155,16 @@ def classify(z: int, sps: SeedPrimeSet) -> Classification:
     """
     if not 1 <= z <= sps.primorial.value:
         raise DomainError(f"z must lie in [1, {sps.primorial.value}], got {z}")
-    zero_core = tuple(p for p in sps.core if z % p == 0)
-    zero_noncore = tuple(p for p in sps.non_core if z % p == 0)
+    # z <= 47# < 2^63, and the core seeds lead the seed tuple
+    rec = _check_seeds(sps.all_seeds)
+    divides = np.flatnonzero(np.remainder(z, rec.array) == 0).tolist()
+    n_core = len(sps.core)
+    zero_core = tuple(rec.ints[i] for i in divides if i < n_core)
+    zero_noncore = tuple(rec.ints[i] for i in divides if i >= n_core)
     is_odd = z % 2 == 1
     if z == 1:
         verdict = VERDICT_UNIT
-    elif z in sps.core or z in sps.non_core:
+    elif z in zero_core or z in zero_noncore:  # a seed is one of the seeds dividing it
         verdict = VERDICT_SEED_PRIME
     elif zero_core:
         verdict = VERDICT_COMPOSITE_BY_CORE

@@ -1,6 +1,7 @@
 """Prime-pair enumeration, mod-3 rules, mismatch filter and solver tests."""
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,19 @@ def test_residue_addition_table():
     assert (grid == 0).sum() == 7
     # P*(P-1) combinations sum to a non-zero residue
     assert (grid != 0).sum() == 7 * 6
+
+
+def test_residue_addition_table_holds_one_grid():
+    tracemalloc.start()
+    try:
+        grid = residue_addition_table(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.dtype == np.int64
+    a = np.arange(1000)
+    assert np.array_equal(grid, (a[:, None] + a[None, :]) % 1000)
+    assert peak <= 1.1 * grid.nbytes
 
 
 @pytest.mark.parametrize("p", [10_001, 20_000])

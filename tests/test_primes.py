@@ -325,6 +325,18 @@ def test_seed_prime_partition():
         seed_prime_set(nth_primorial(2))
 
 
+def test_seed_prime_set_is_memoised_and_errors_are_not():
+    p = nth_primorial(8)
+    assert seed_prime_set(p) is seed_prime_set(nth_primorial(8))
+    sps = seed_prime_set(p)
+    assert sps.all_seeds is sps.all_seeds == sps.core + sps.non_core
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            seed_prime_set(nth_primorial(2))
+        with pytest.raises(BudgetError):
+            seed_prime_set(nth_primorial(14))
+
+
 def test_max_seed_prime_for():
     assert max_seed_prime_for(68) == 13
     assert max_seed_prime_for(2310) == 47

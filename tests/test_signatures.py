@@ -1,4 +1,7 @@
 """Signature, CRT and classification tests."""
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,7 +241,7 @@ def test_seed_check_budget_on_every_call():
             signature(5, (2, 3, 100_000_007))
 
 
-# -- subproduct-tree CRT against the iterative fold it replaces ---------------
+# -- Garner CRT against the fold oracle ---------------------------------------
 
 def fold_crt(sig):
     """Oracle: fold each modulus into one growing modulus, left to right."""
@@ -269,7 +272,7 @@ def test_crt_matches_fold_on_arbitrary_residues(data):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33])
 def test_crt_matches_fold_at_every_tree_shape(n):
-    # odd and even counts at every level: carried nodes at several depths
+    # odd and even lengths on and around powers of two
     seeds = tuple(PRIMES_BELOW_20000[-n:])
     sig = ModularSignature(1, seeds, tuple(range(-n, 3 * n, 4)[:n]))
     assert crt_reconstruct(sig) == fold_crt(sig)
@@ -298,6 +301,145 @@ def test_crt_rejects_repeated_moduli():
         crt_reconstruct(sig)
     with pytest.raises(ValueError):
         fold_crt(sig)
+
+
+# -- Garner's early exit ------------------------------------------------------
+
+def crt_path(sig):
+    """crt_reconstruct(sig) and whether a compare over every residue ended
+    its steps early."""
+    hits = []
+    meets = signatures._meets_every_residue
+
+    def recording(*args):
+        hits.append(meets(*args))
+        return hits[-1]
+
+    signatures._meets_every_residue = recording
+    try:
+        x = crt_reconstruct(sig)
+    finally:
+        signatures._meets_every_residue = meets
+    return x, any(hits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signatures_of_real_z_take_the_early_path(data):
+    seeds = sorted(data.draw(
+        st.lists(st.sampled_from(PRIMES_BELOW_20000), min_size=2, max_size=60, unique=True),
+        label="seeds",
+    ))
+    # the exit needs a step left after x reaches z, with z still an int64
+    bound = min(math.prod(seeds[:-1]), 2**63)
+    z = data.draw(st.integers(min_value=1, max_value=bound - 1), label="z")
+    sig = signature(z, seeds)
+    assert crt_path(sig) == (z, True)
+    assert fold_crt(sig) == z
+
+
+def _shifted(sig, i, by):
+    residues = list(sig.residues)
+    residues[i] += by
+    return ModularSignature(sig.subject, sig.seed_primes, tuple(residues))
+
+
+SIG_2291 = signature(2291, SEEDS_2310)
+
+
+@pytest.mark.parametrize("sig", [
+    _shifted(SIG_2291, 0, -2),                       # negative residue
+    _shifted(SIG_2291, 5, 13),                       # residue == m
+    _shifted(SIG_2291, 14, 47 * 10),                 # residue > m at the last seed
+    _shifted(SIG_2291, 9, 2**63),                    # residue >= 2^63
+    _shifted(SIG_2291, 3, 2**70),
+    signature(2**70, PRIMES_BELOW_20000[:40]),       # z past 2^63
+    ModularSignature(1, (-5, 7), (1, 2)),            # a negative modulus
+    ModularSignature(1, (7, -5), (1, -4)),           # x = 1 meets both, but M < 0
+    ModularSignature(1, (3, 2**64 + 13), (1, 5)),    # a modulus past 2^63
+], ids=["negative", "equal_m", "over_m_last", "2^63", "2^70", "z_past_2^63",
+        "negative_modulus", "negative_last_modulus", "modulus_past_2^63"])
+def test_inputs_no_compare_settles_take_every_step(sig):
+    assert crt_path(sig) == (fold_crt(sig), False)
+
+
+@pytest.mark.parametrize("sig", [
+    ModularSignature(1, SEEDS_2310, SIG_2291.residues[:7]),          # ragged
+    ModularSignature(1, SEEDS_2310[:7], SIG_2291.residues),
+    ModularSignature(1, (4, 9, 25, 49), (1, 2, 3, 4)),               # not prime
+    ModularSignature(1, (5, 3), (1, 2)),                             # not ascending
+    signature(2**64 + 5, SEEDS_2310[:12]),           # z above M
+], ids=["short", "long", "not_prime", "descending", "z_above_M"])
+def test_hand_built_signatures_match_the_fold(sig):
+    assert crt_reconstruct(sig) == fold_crt(sig)
+
+
+def test_crt_never_consults_the_prime_table(monkeypatch):
+    def no_table(limit):
+        raise AssertionError(f"primes_up_to({limit})")
+
+    monkeypatch.setattr(signatures, "primes_up_to", no_table)
+    assert crt_reconstruct(ModularSignature(5, (99_999_989,), (5,))) == 5
+    for _ in range(2):
+        assert crt_reconstruct(ModularSignature(1, (4, 9, 25, 49), (1, 2, 3, 4))) == 14753
+
+
+@pytest.mark.parametrize("z", [2**63 - 1, 2**63, 2**70])
+def test_signature_at_the_int64_edge(z):
+    seeds = seed_prime_set(nth_primorial(9)).all_seeds
+    sig = signature(z, seeds)
+    assert sig.residues == tuple(z % q for q in seeds)
+    assert all(type(r) is int for r in sig.residues)
+    assert crt_reconstruct(sig) == fold_crt(sig) == z
+
+
+def test_queries_from_two_threads_agree_with_one():
+    sps = seed_prime_set(nth_primorial(9))  # 1,748 seeds: numpy drops the GIL
+    zs = [int(z) for z in np.random.default_rng(12).integers(1, sps.primorial.value, 200)]
+
+    def query(z):
+        sig = signature(z, sps.all_seeds)
+        return sig.residues, crt_reconstruct(sig), classify(z, sps)
+
+    expected = [query(z) for z in zs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(2):
+            assert list(pool.map(query, zs)) == expected
+
+
+def comprehension_classify(z, sps):
+    """Oracle: the per-seed scans classify replaced."""
+    zero_core = tuple(p for p in sps.core if z % p == 0)
+    zero_noncore = tuple(p for p in sps.non_core if z % p == 0)
+    if z == 1:
+        verdict = VERDICT_UNIT
+    elif z in sps.core or z in sps.non_core:
+        verdict = VERDICT_SEED_PRIME
+    elif zero_core:
+        verdict = VERDICT_COMPOSITE_BY_CORE
+    elif zero_noncore:
+        verdict = VERDICT_POTENTIAL_PRIME
+    else:
+        verdict = VERDICT_CERTIFIED_PRIME
+    return zero_core, zero_noncore, verdict
+
+
+@pytest.mark.parametrize("k", [8, 9])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_classify_matches_the_comprehension_rule(k, data):
+    sps = seed_prime_set(nth_primorial(k))  # 19#, 23#
+    z = data.draw(st.one_of(
+        st.integers(min_value=1, max_value=sps.primorial.value),
+        st.sampled_from(sps.all_seeds),
+        st.sampled_from([p * q for p, q in zip(sps.all_seeds, sps.all_seeds[1:])]),
+        st.just(1),
+        st.just(sps.primorial.value),
+    ))
+    cls = classify(z, sps)
+    assert (cls.zero_core_residues, cls.zero_noncore_residues, cls.verdict) == \
+        comprehension_classify(z, sps)
+    assert cls.is_odd == (z % 2 == 1)
 
 
 # -- the seed check, once per seed tuple --------------------------------------
