@@ -14,9 +14,10 @@ from .primes import (
     max_seed_prime_for,
     next_prime,
     primes_up_to,
+    residue_sieve,
     smallest_primorial_at_least,
 )
-from .signatures import residue_sieve
+from .signatures import _odd_seed_classes
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def _seed_free_mask(lo: int, hi: int, n: int) -> np.ndarray:
     """Mask over lo..hi of the integers that no seed prime of n divides:
     none of the primes up to max_seed_prime_for(n)."""
     seeds = primes_up_to(max_seed_prime_for(n)).ordered_primes.tolist()
-    return residue_sieve(lo, hi, {q: (0,) for q in seeds})
+    return residue_sieve(lo, hi, _odd_seed_classes(seeds))
 
 
 def mismatch_filter(E: int) -> list[int]:
@@ -160,11 +161,15 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     while lo <= upper:
         prim = smallest_primorial_at_least(lo)
         hi = min(prim.value, upper)
-        # composite partners that pass the filter; index = partner value
+        # composite partners that pass the filter; index = partner value. A
+        # partner exceeds E/2 >= 3, so 0 and 1 are none; the seeds of a full
+        # seed set leave no other composite, and such a band is skipped.
         rough_composite = _seed_free_mask(0, hi, prim.value) & ~mask[: hi + 1]
-        for E in range(lo, hi + 1, 2):
-            p1 = half[: np.searchsorted(half, E // 2)]
-            violations.extend((E, p) for p in p1[rough_composite[E - p1]].tolist())
+        rough_composite[:2] = False
+        if rough_composite.any():
+            for E in range(lo, hi + 1, 2):
+                p1 = half[: np.searchsorted(half, E // 2)]
+                violations.extend((E, p) for p in p1[rough_composite[E - p1]].tolist())
         lo = hi + 2  # primorials are even; an odd hi is upper, which ends the loop
     return violations
 

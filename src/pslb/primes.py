@@ -1,19 +1,20 @@
 """Prime generation, primorials and the seed-prime partition.
 
-The sieve stores one flag per odd integer. One module-level table serves
-every prime lookup: `primes_up_to`, `prev_prime` and `next_prime` read it,
-and it is re-sieved, at least doubled and at most to the primality budget,
-only when a limit past its end is asked for. Likewise one ladder of the 64-bit
-primorials, built at import by trial division (no sieve), serves every
-primorial lookup.
+The sieve stores one flag per odd integer and is one call to `residue_sieve`,
+the lab's one strided kernel, which every residue mask also uses. One
+module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
+and `next_prime` read it, and it is re-sieved, at least doubled and at most
+to the primality budget, only when a limit past its end is asked for.
+Likewise one ladder of the 64-bit primorials, built at import by trial
+division (no sieve), serves every primorial lookup.
 """
 from __future__ import annotations
 
 import math
 import struct
 import zlib
-from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,44 +49,58 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Odd integers per sieve window: 1 MB of flags, about one L2 cache, so each
-# seed's strided pass stays in cache instead of going out to main memory.
+# Integers per residue-sieve window: 1 MB of flags, about one L2 cache, so each
+# class's strided pass stays in cache instead of going out to main memory.
 _WINDOW = 1 << 20
 
 
-def sieve_odd_flags(limit: int) -> np.ndarray:
-    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1).
+def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> np.ndarray:
+    """Mask over the integers lo..hi (inclusive) whose residue mod each q
+    avoids every class in forbidden[q].
 
-    A segmented sieve (Bays & Hudson, BIT 17 (1977)): the odd seeds up to
-    sqrt(limit) are found by sieving the start of the array, then every seed
-    clears its odd multiples one window at a time, from its square on, and
-    carries its next index from one window to the next.
+    Index i corresponds to the integer lo+i. A segmented sieve (Bays &
+    Hudson, BIT 17 (1977)): each forbidden class clears one strided slice per
+    window of _WINDOW integers, its offset worked out again in every window,
+    so the cost is O((hi - lo) * sum(|R_q| / q)). A window past the primality
+    budget raises BudgetError before anything is allocated.
     """
+    size = max(hi - lo + 1, 0)
+    if size > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(f"residue window of {size} integers exceeds primality budget "
+                          f"{DEFAULT_PRIMALITY_BUDGET}")
+    keep = np.ones(size, dtype=bool)
+    for w in range(0, size or 1, _WINDOW):  # an empty mask still checks its moduli
+        window = keep[w : w + _WINDOW]
+        start = lo + w  # the integer at window[0]
+        for q, residues in forbidden.items():
+            if q < 1:
+                raise DomainError(f"residue modulus must be >= 1, got {q}")
+            for r in residues:
+                window[(r - start) % q :: q] = False
+    return keep
+
+
+def sieve_odd_flags(limit: int) -> np.ndarray:
+    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"sieve limit {limit} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
-    size = (limit + 1) // 2
-    flags = np.ones(size, dtype=bool)
-    flags[0] = False  # 1 is not prime
+    return _odd_flags(limit)
+
+
+def _odd_flags(limit: int) -> np.ndarray:
+    """The odd flags up to limit >= 1, as one residue sieve over the indexes.
+
+    Index i stands for 2i + 1, so the odd multiples of a seed p = 2i + 1 are
+    the indexes congruent to i mod p. The odd seeds up to sqrt(limit) come
+    from the same sieve one level down; their own flags are set back afterwards.
+    """
     root = math.isqrt(limit)
-    head = (root + 1) // 2  # the odd integers up to root
-    for p in range(3, math.isqrt(root) + 1, 2):
-        if flags[p // 2]:
-            flags[p * p // 2 : head : p] = False
-    # Each seed and the index of its next odd multiple, from its square on, in
-    # machine-integer arrays rather than lists of Python ints, so the sieve's
-    # peak memory stays that of its flags.
-    seeds = array("q", (2 * i + 1 for i in range(1, head) if flags[i]))
-    nxt = array("q", (p * p // 2 for p in seeds))
-    for lo in range(0, size, _WINDOW):
-        hi = min(lo + _WINDOW, size)
-        window = flags[lo:hi]
-        for j, p in enumerate(seeds):
-            i = nxt[j]
-            if i < hi:
-                window[i - lo :: p] = False
-                nxt[j] = i + ((hi - 1 - i) // p + 1) * p  # first index at or past hi
+    seeds = (2 * np.flatnonzero(_odd_flags(root)) + 1).tolist() if root >= 3 else []
+    flags = residue_sieve(0, (limit - 1) // 2, {p: (p // 2,) for p in seeds})
+    flags[[p // 2 for p in seeds]] = True  # the seeds themselves are prime
+    flags[0] = False  # 1 is not prime
     return flags
 
 

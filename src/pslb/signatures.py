@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .primes import DEFAULT_PRIMALITY_BUDGET, SeedPrimeSet, is_prime, primes_up_to
+from .errors import DomainError
+from .primes import SeedPrimeSet, is_prime, primes_up_to, residue_sieve
 
 VERDICT_UNIT = "unit"
 VERDICT_SEED_PRIME = "seed-prime"
@@ -178,20 +177,14 @@ def classify(z: int, sps: SeedPrimeSet) -> Classification:
 def is_potential_twin(o2: int, sps: SeedPrimeSet) -> bool:
     """Whether the pair (o2-2, o2) survives every odd core seed prime.
 
-    The pair is anchored at its larger member o2; it survives a core seed p
-    when o2 is neither 0 nor 2 mod p (the latter would zero out o2-2).
+    The pair is anchored at its larger member o2; it survives when o2 and
+    o2 - 2 are both potential primes, neither divisible by an odd core seed.
     """
     if o2 % 2 == 0:
         raise DomainError(f"twin anchor must be odd, got {o2}")
     if not 5 <= o2 <= sps.primorial.value:
         raise DomainError(f"twin anchor must lie in [5, {sps.primorial.value}], got {o2}")
-    for p in sps.core:
-        if p == 2:
-            continue
-        r = o2 % p
-        if r == 0 or r == 2 % p:
-            return False
-    return True
+    return all(o2 % q and (o2 - 2) % q for q in sps.core if q != 2)
 
 
 def residue_cycle(p: int, parity: str) -> tuple[int, ...]:
@@ -204,30 +197,9 @@ def residue_cycle(p: int, parity: str) -> tuple[int, ...]:
     return tuple((start + 2 * k) % p for k in range(p))
 
 
-def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> np.ndarray:
-    """Mask over the integers lo..hi (inclusive) whose residue mod each q
-    avoids every class in forbidden[q].
-
-    Index i corresponds to the integer lo+i. Each forbidden class clears one
-    strided slice, so the cost is O((hi - lo) * sum(|R_q| / q)). A window past
-    the primality budget raises BudgetError before anything is allocated.
-    """
-    size = max(hi - lo + 1, 0)
-    if size > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(f"residue window of {size} integers exceeds primality budget "
-                          f"{DEFAULT_PRIMALITY_BUDGET}")
-    keep = np.ones(size, dtype=bool)
-    for q, residues in forbidden.items():
-        if q < 1:
-            raise DomainError(f"residue modulus must be >= 1, got {q}")
-        for r in residues:
-            keep[(r - lo) % q :: q] = False
-    return keep
-
-
-def _odd_seed_classes(seeds, classes: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """The even integers plus the given classes at every odd seed."""
-    return {2: (0,), **{p: classes for p in seeds if p != 2}}
+def _odd_seed_classes(seeds) -> dict[int, tuple[int, ...]]:
+    """The one forbidden class, 0, at 2 and at every seed."""
+    return dict.fromkeys((2, *seeds), (0,))
 
 
 def potential_prime_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
@@ -235,18 +207,20 @@ def potential_prime_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
 
     Index i corresponds to the integer i+1.
     """
-    return residue_sieve(1, limit, _odd_seed_classes(core, (0,)))
+    return residue_sieve(1, limit, _odd_seed_classes(core))
 
 
 def potential_twin_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
-    """Mask over 1..limit of twin anchors surviving the odd core seeds."""
-    mask = residue_sieve(1, limit, _odd_seed_classes(core, (0, 2)))
+    """Mask over 1..limit of twin anchors o2 >= 5 where o2 and o2 - 2 are
+    both potential primes."""
+    mask = residue_sieve(1, limit, _odd_seed_classes(core))  # the potential primes
+    mask[2:] &= mask[:-2]  # NumPy reads the overlapping shift before writing
     mask[:4] = False  # anchors start at 5
     return mask
 
 
 def certified_mask(limit: int, seeds: tuple[int, ...]) -> np.ndarray:
     """Mask over 1..limit of odd z > 1 with no zero residue at any seed."""
-    mask = residue_sieve(1, limit, _odd_seed_classes(seeds, (0,)))
+    mask = residue_sieve(1, limit, _odd_seed_classes(seeds))
     mask[:1] = False  # z = 1
     return mask

@@ -13,11 +13,9 @@ import numpy as np
 from . import census, goldbach, scaffold
 from .errors import DomainError
 from .primes import is_prime, nth_primorial, seed_prime_set
+from .signatures import classify, is_potential_twin, signature
 
 TABLE_COUNT = 21
-
-_SEEDS_2310 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_SEEDS_210 = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,12 @@ def _mark(flag: bool) -> str | None:
 
 
 def _residues(z: int, seeds) -> list[int]:
-    return [z % p for p in seeds]
+    return list(signature(z, seeds).residues)
+
+
+def _seeds(k: int) -> tuple[int, ...]:
+    """The seed primes of the k-th primorial: 5 gives 2310's, 4 gives 210's."""
+    return seed_prime_set(nth_primorial(k)).all_seeds
 
 
 def _table1() -> TableData:
@@ -50,19 +53,21 @@ def _table1() -> TableData:
 
 
 def _table2() -> TableData:
-    cols = ("integer",) + tuple(f"mod_{p}" for p in _SEEDS_2310)
+    seeds = _seeds(5)
+    cols = ("integer",) + tuple(f"mod_{p}" for p in seeds)
     return TableData(
         2, "Signature of 2291: clean core residues, one zero non-core residue",
-        cols, [[2291] + _residues(2291, _SEEDS_2310)],
+        cols, [[2291] + _residues(2291, seeds)],
     )
 
 
 def _table3() -> TableData:
-    cols = ("class_mod_30", "odd", "prime") + tuple(f"mod_{p}" for p in _SEEDS_210)
+    seeds = _seeds(4)
+    cols = ("class_mod_30", "odd", "prime") + tuple(f"mod_{p}" for p in seeds)
     rows = []
     for cls in range(1, 30, 2):
         for member in range(cls, 210, 30):
-            rows.append([cls, member, _mark(is_prime(member))] + _residues(member, _SEEDS_210))
+            rows.append([cls, member, _mark(is_prime(member))] + _residues(member, seeds))
     return TableData(
         3, "Signatures of the odd integers below 210 grouped by class mod 30",
         cols, rows,
@@ -70,17 +75,18 @@ def _table3() -> TableData:
 
 
 def _table4() -> TableData:
-    cols = ("count", "odd", "delta") + tuple(f"mod_{p}" for p in _SEEDS_2310) + ("prime",)
+    seeds = _seeds(5)
+    cols = ("count", "odd", "delta") + tuple(f"mod_{p}" for p in seeds) + ("prime",)
     rows = []
     for cls in (1, 209):
         for i, member in enumerate(range(cls, 2310, 210), start=1):
             rows.append(
                 [i, member, 210 if i > 1 else None]
-                + _residues(member, _SEEDS_2310)
+                + _residues(member, seeds)
                 + [_mark(is_prime(member))]
             )
     for z in (30, 210, 2310):
-        rows.append([None, z, None] + _residues(z, _SEEDS_2310) + [None])
+        rows.append([None, z, None] + _residues(z, seeds) + [None])
     return TableData(
         4, "Two classes mod 210 under primorial 2310, plus primorial signatures",
         cols, rows,
@@ -114,19 +120,16 @@ def _table5() -> TableData:
 
 
 def _table6() -> TableData:
-    cols = ("prime", "odd", "delta") + tuple(f"mod_{p}" for p in _SEEDS_2310) + (
+    sps = seed_prime_set(nth_primorial(5))
+    cols = ("prime", "odd", "delta") + tuple(f"mod_{p}" for p in sps.all_seeds) + (
         "potential_prime", "potential_twin",
     )
-    core = nth_primorial(5).prime_factors
-    sps = seed_prime_set(nth_primorial(5))
-    from .signatures import is_potential_twin
-
     rows = []
     for z in range(2237, 2256, 2):
-        pp = all(z % p != 0 for p in core)
+        pp = classify(z, sps).is_potential_prime
         pt = is_potential_twin(z, sps)
         rows.append(
-            [_mark(is_prime(z)), z, 2] + _residues(z, _SEEDS_2310) + [_mark(pp), _mark(pt)]
+            [_mark(is_prime(z)), z, 2] + _residues(z, sps.all_seeds) + [_mark(pp), _mark(pt)]
         )
     return TableData(6, "Ten consecutive odd integers under primorial 2310", cols, rows)
 
@@ -184,12 +187,13 @@ def _table11() -> TableData:
 
 
 def _signature_triple(number: int, title: str, E: int, p1: int) -> TableData:
-    cols = ("role", "value") + tuple(f"mod_{p}" for p in _SEEDS_210)
+    seeds = _seeds(4)
+    cols = ("role", "value") + tuple(f"mod_{p}" for p in seeds)
     p2 = E - p1
     rows = [
-        ["even", E] + _residues(E, _SEEDS_210),
-        ["p1", p1] + _residues(p1, _SEEDS_210),
-        ["p2", p2] + _residues(p2, _SEEDS_210),
+        ["even", E] + _residues(E, seeds),
+        ["p1", p1] + _residues(p1, seeds),
+        ["p2", p2] + _residues(p2, seeds),
     ]
     return TableData(number, title, cols, rows)
 

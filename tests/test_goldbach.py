@@ -159,6 +159,11 @@ def test_batch_scan_matches_scalar_filter():
     assert violations == []
 
 
+def test_violation_scan_skips_bands_past_the_audit_scope():
+    # full seed sets leave no composite partner, so every band is skipped
+    assert mismatch_violations(300_000) == []
+
+
 def test_exact_potential_count():
     # brute force: count residue classes mod 2310 that are odd, coprime to
     # the core seeds and mismatched with E at each odd core seed

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb import signatures
+import pslb
+from pslb import primes, signatures
 from pslb.errors import BudgetError, DomainError
 from pslb.primes import nth_primorial, primes_up_to, seed_prime_set
 from pslb.signatures import (
@@ -211,9 +212,38 @@ def test_residue_sieve_matches_brute_force(lo, width, forbidden):
     assert keep.tolist() == brute
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_windowed_residue_sieve_matches_brute_force(data):
+    # small windows put several window edges inside each class's stride
+    window = data.draw(st.integers(8, 64), label="window")
+    lo = data.draw(st.integers(-300, 300), label="lo")
+    width = data.draw(st.integers(0, 6 * window), label="width")
+    forbidden = data.draw(st.dictionaries(
+        st.integers(1, 3 * window),
+        st.lists(st.integers(-200, 200), max_size=3),
+        max_size=6,
+    ), label="forbidden")
+    hi = lo + width - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        keep = residue_sieve(lo, hi, forbidden)
+    brute = [
+        all(z % q not in {r % q for r in rs} for q, rs in forbidden.items())
+        for z in range(lo, hi + 1)
+    ]
+    assert keep.tolist() == brute
+
+
+def test_residue_sieve_is_one_kernel():
+    assert pslb.residue_sieve is signatures.residue_sieve is primes.residue_sieve
+
+
 def test_residue_sieve_rejects_bad_modulus():
     with pytest.raises(DomainError):
         residue_sieve(1, 10, {0: (0,)})
+    with pytest.raises(DomainError):
+        residue_sieve(5, 4, {-3: (0,)})  # an empty window checks its moduli too
 
 
 def test_residue_sieve_window_over_primality_budget():
