@@ -17,10 +17,7 @@ DEFAULT_FACTOR_BUDGET = 510_510
 
 def totient_of_primorial(p: Primorial) -> int:
     """Euler totient of a primorial: product of (factor - 1)."""
-    out = 1
-    for f in p.prime_factors:
-        out *= f - 1
-    return out
+    return math.prod(f - 1 for f in p.prime_factors)
 
 
 def potential_solutions_T(p: Primorial) -> int:
@@ -28,10 +25,7 @@ def potential_solutions_T(p: Primorial) -> int:
     over the odd prime factors."""
     if p.value < 6:
         raise DomainError(f"need primorial >= 6, got {p.value}")
-    out = 1
-    for f in p.prime_factors[1:]:
-        out *= f - 2
-    return out
+    return math.prod(f - 2 for f in p.prime_factors[1:])
 
 
 @dataclass(frozen=True)
@@ -113,9 +107,7 @@ def seed_multiple_level_counts(n: int) -> list[int]:
     for k in range(1, len(seeds) + 1):
         total = 0
         for combo in combinations(seeds, k):
-            prod = 1
-            for s in combo:
-                prod *= s
+            prod = math.prod(combo)
             if prod <= n:
                 total += n // prod
         levels.append(total)

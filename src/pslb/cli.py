@@ -221,13 +221,10 @@ def _cmd_cache(args) -> tables.TableData:
     if args.action == "build":
         table = PrimeTable(args.limit)
         table.save(args.cache_path)
-        return tables.TableData(
-            0, "sieve cache written",
-            ("path", "limit", "primes"), [[args.cache_path, table.limit, table.prime_count]],
-        )
-    table = PrimeTable.load(args.cache_path)
+    else:
+        table = PrimeTable.load(args.cache_path)
     return tables.TableData(
-        0, "sieve cache verified",
+        0, "sieve cache written" if args.action == "build" else "sieve cache verified",
         ("path", "limit", "primes"), [[args.cache_path, table.limit, table.prime_count]],
     )
 

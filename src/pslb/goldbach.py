@@ -2,6 +2,7 @@
 signature-mismatch solution procedure."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from .primes import (
     residue_sieve,
     smallest_primorial_at_least,
 )
-from .signatures import _odd_seed_classes
 
 
 @dataclass(frozen=True)
@@ -113,63 +113,69 @@ def residue_addition_table(p: int) -> np.ndarray:
     return np.remainder(grid, p, out=grid)  # in place: one grid at the peak
 
 
-def _seed_free_mask(lo: int, hi: int, n: int) -> np.ndarray:
-    """Mask over lo..hi of the integers that no seed prime of n divides:
-    none of the primes up to max_seed_prime_for(n)."""
-    seeds = primes_up_to(max_seed_prime_for(n)).ordered_primes.tolist()
-    return residue_sieve(lo, hi, _odd_seed_classes(seeds))
+def _mismatched(E: int, p1: np.ndarray, table: PrimeTable, max_seed: int) -> np.ndarray:
+    """Which odd primes p1 < E/2 share no residue class with E at any seed prime.
+
+    p1 = E (mod q) exactly when q divides the partner E - p1. The partner lies
+    below the least primorial >= E, and the seeds reach its square root (T2),
+    so it has no seed factor exactly when it is a prime above the largest seed.
+    """
+    partner = E - p1
+    return table.odd_prime_mask()[partner // 2] & (partner > max_seed)
 
 
 def mismatch_filter(E: int) -> list[int]:
     """Primes p1 below E/2 whose residues differ from E's at every seed prime.
 
     The trivial solution p1 = E/2 (when prime) is appended; it is the one
-    case where a shared residue class is allowed.
-
-    p1 and E share a residue mod q exactly when q divides the partner E - p1,
-    so the rule is evaluated as one seed-multiple sieve over the partner
-    window (E/2, E - 2], gathered at E - p1.
+    case where a shared residue class is allowed. p1 = 2 never passes: its
+    partner is even and 2 is a seed.
     """
     _check_even(E)
     table = primes_up_to(E)
     primes = table.ordered_primes
-    p1 = primes[: np.searchsorted(primes, E // 2)]  # 2 * p1 < E
-    lo = E // 2 + 1
-    keep = _seed_free_mask(lo, E - 2, E)
-    out = p1[keep[E - p1 - lo]].tolist()
+    p1 = primes[1 : np.searchsorted(primes, E // 2)]  # odd, 2 * p1 < E
+    out = p1[_mismatched(E, p1, table, max_seed_prime_for(E))].tolist()
     if table.is_prime(E // 2):
         out.append(E // 2)
     return out
 
 
+def _seed_free_mask(lo: int, hi: int, n: int) -> np.ndarray:
+    """Mask over the odd integers 2i + 1, i in lo..hi, that no seed prime of n
+    divides; a seed q = 2i + 1 forbids the indexes = i (mod q)."""
+    seeds = np.flatnonzero(primes_up_to(max_seed_prime_for(n)).odd_prime_mask()).tolist()
+    return residue_sieve(lo, hi, {2 * i + 1: (i,) for i in seeds})
+
+
 def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     """(E, p1) pairs where the mismatch filter yields a composite partner.
 
-    Covers all even 6 <= E <= upper; equivalent to running mismatch_filter
-    per E and testing E - p1 for primality. The trivial half never
-    contributes, since its partner is itself.
+    Covers all even 6 <= E <= upper by sieving the seed multiples out of the
+    partners, not by T2 as mismatch_filter does. Neither the trivial half
+    (its partner is itself) nor p1 = 2 (its partner is even) contributes.
     """
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
     table = primes_up_to(upper)
-    mask = table.prime_mask()
-    primes = table.ordered_primes
-    half = primes[primes * 2 < upper]
     # Seed sets only change at primorial boundaries; group evens by them.
     violations = []
     lo = 6
     while lo <= upper:
         prim = smallest_primorial_at_least(lo)
         hi = min(prim.value, upper)
-        # composite partners that pass the filter; index = partner value. A
-        # partner exceeds E/2 >= 3, so 0 and 1 are none; the seeds of a full
-        # seed set leave no other composite, and such a band is skipped.
-        rough_composite = _seed_free_mask(0, hi, prim.value) & ~mask[: hi + 1]
-        rough_composite[:2] = False
+        # Over the odd indexes of the band's partners, which lie in
+        # (lo/2, hi - 3], the composites that pass the filter. The seeds of a
+        # full seed set leave none, and such a band is skipped.
+        first = (lo // 2 + 1) // 2
+        rough_composite = _seed_free_mask(first, (hi - 3) // 2, prim.value)
+        flags = table.odd_prime_mask()[first : first + rough_composite.size]
+        np.greater(rough_composite, flags, out=rough_composite)  # and not prime
         if rough_composite.any():
+            primes = table.ordered_primes
             for E in range(lo, hi + 1, 2):
-                p1 = half[: np.searchsorted(half, E // 2)]
-                violations.extend((E, p) for p in p1[rough_composite[E - p1]].tolist())
+                p1 = primes[1 : np.searchsorted(primes, E // 2)]
+                violations.extend((E, p) for p in p1[rough_composite[(E - p1) // 2 - first]].tolist())
         lo = hi + 2  # primorials are even; an odd hi is upper, which ends the loop
     return violations
 
@@ -178,10 +184,8 @@ def exact_potential_goldbach_count(E: int) -> int:
     """Residue classes mod the least primorial >= E that stay odd, coprime to
     the core seeds and mismatched with E at each of them."""
     _check_even(E)
-    out = 1
-    for q in smallest_primorial_at_least(E).prime_factors[1:]:
-        out *= (q - 1) if E % q == 0 else (q - 2)
-    return out
+    return math.prod((q - 1) if E % q == 0 else (q - 2)
+                     for q in smallest_primorial_at_least(E).prime_factors[1:])
 
 
 @dataclass(frozen=True)
@@ -197,39 +201,41 @@ class GoldbachSolution:
     note: str = ""
 
 
+# Primes the solver reads per step: the least Goldbach prime stays below 10^4
+# up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83 (2014)).
+_SOLVE_BLOCK = 64
+
+
 def goldbach_solve(E: int) -> GoldbachSolution:
     """Produce one pair for E and report which solution case found it."""
     _check_even(E)
     table = primes_up_to(E)
     if table.is_prime(E // 2):
         return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
-    passing = mismatch_filter(E)
-    # the seeds are exactly the primes up to the max seed, and passing ascends
-    if passing and passing[0] <= max_seed_prime_for(E):
-        p1 = passing[0]
+    # the least p1 passing the mismatch filter, one block of odd primes at a time
+    max_seed = max_seed_prime_for(E)
+    primes = table.ordered_primes
+    end = int(np.searchsorted(primes, E // 2))
+    blocks = (primes[i : min(i + _SOLVE_BLOCK, end)] for i in range(1, end, _SOLVE_BLOCK))
+    passing = (p1[_mismatched(E, p1, table, max_seed)] for p1 in blocks)
+    p1 = next((int(p[0]) for p in passing if p.size), None)
+    if p1 is not None and p1 <= max_seed:  # the seeds are the primes up to the max seed
         return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2a")
+    note = ""
+    if p1 is None:
+        # The mismatch filter came up empty; fall back to direct enumeration
+        # and flag the divergence rather than hiding it.
+        pairs = goldbach_pairs(E)
+        if not pairs:
+            raise AssertionError(f"no Goldbach pair found for {E}: conjecture counterexample candidate")
+        p1, note = pairs[0].p1, "mismatch filter empty; pair found by direct enumeration"
     # Scaffold existence path, anchored at the largest primorial <= E.
     A = largest_primorial_at_most(E)
     P_B = max_seed_prime_for(A.value)
     P_Z = next_prime(P_B)
-    certified = P_Z * P_Z > A.value
-    if passing:
-        p1 = passing[0]
-        return GoldbachSolution(
-            GoldbachPair(E, p1, E - p1), "case-2b",
-            A_value=A.value, B_largest_factor=P_B, P_Z=P_Z,
-            scaffold_certified=certified,
-        )
-    # The mismatch filter came up empty; fall back to direct enumeration and
-    # flag the divergence rather than hiding it.
-    pairs = goldbach_pairs(E)
-    if not pairs:
-        raise AssertionError(f"no Goldbach pair found for {E}: conjecture counterexample candidate")
-    return GoldbachSolution(
-        pairs[0], "case-2b",
-        A_value=A.value, B_largest_factor=P_B, P_Z=P_Z, scaffold_certified=certified,
-        note="mismatch filter empty; pair found by direct enumeration",
-    )
+    return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2b", A_value=A.value,
+                            B_largest_factor=P_B, P_Z=P_Z, scaffold_certified=P_Z * P_Z > A.value,
+                            note=note)
 
 
 def figure2_slopes(upper: int = 210) -> dict[int, tuple[float, float]]:

@@ -367,4 +367,9 @@ def max_seed_prime_for(n: int) -> int:
     """Largest prime <= sqrt of the smallest primorial >= n."""
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
-    return prev_prime(math.isqrt(smallest_primorial_at_least(n).value))
+    return _max_seed_prime(smallest_primorial_at_least(n).value)
+
+
+@lru_cache(maxsize=len(_LADDER))  # one entry per ladder primorial
+def _max_seed_prime(primorial: int) -> int:
+    return prev_prime(math.isqrt(primorial))

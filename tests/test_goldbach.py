@@ -1,4 +1,5 @@
 """Prime-pair enumeration, mod-3 rules, mismatch filter and solver tests."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb import goldbach
+from pslb import goldbach, primes
 from pslb.errors import BudgetError, DomainError
 from pslb.goldbach import (
     exact_potential_goldbach_count,
@@ -272,3 +273,68 @@ def test_violation_scan_matches_scalar_rule_with_short_seed_sets(monkeypatch):
     found = mismatch_violations(upper)
     assert found == brute
     assert len(found) > 100
+
+
+def test_violation_scan_builds_band_masks_over_the_partners_only():
+    primes_up_to(10**7).ordered_primes  # the table is not the scan's to pay for
+    tracemalloc.start()
+    try:
+        assert mismatch_violations(10**7) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the value-indexed masks over 0..upper peaked at about 45 MB
+    assert peak < 12_000_000
+
+
+# -- the solver and the filter read the prime table ----------------------------
+
+
+def solution_row(E):
+    s = goldbach_solve(E)
+    return repr((E, s.case, s.pair.p1, s.pair.p2, s.A_value, s.B_largest_factor, s.P_Z,
+                 s.scaffold_certified, s.note))
+
+
+def test_solver_golden_pin_to_20000():
+    # SHA-256 of every solution row for even 6 <= E <= 20000, as produced by
+    # the full-list solver over the seed-multiple sieve
+    rows = "\n".join(solution_row(E) for E in range(6, 20001, 2))
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "dc0ea24f7970ca74bfccb07ff9d5b14f487eb4003f3a2e89a01cc7be36a036ba")
+
+
+def test_solver_falls_back_only_at_8():
+    assert solution_row(8) == (
+        "(8, 'case-2b', 3, 5, 6, 2, 3, True, "
+        "'mismatch filter empty; pair found by direct enumeration')")
+    assert [E for E in range(6, 100_001, 2) if goldbach_solve(E).note] == [8]
+
+
+@pytest.mark.parametrize("E", [6, 8, 10, 12] + [P + d for P in (30, 210, 2310, 30030)
+                                                for d in (-2, 0, 2)])
+def test_mismatch_filter_matches_scalar_rule_at_primorial_edges(E):
+    seeds = primes_up_to(max_seed_prime_for(E)).ordered_primes.tolist()
+    assert mismatch_filter(E) == scalar_mismatch_filter(E, seeds)
+
+
+def test_solver_and_filter_read_the_table_without_sieving(monkeypatch):
+    E = 999_990
+    primes_up_to(10**6).ordered_primes
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("residue_sieve called")
+
+    monkeypatch.setattr(goldbach, "residue_sieve", no_sieve)
+    monkeypatch.setattr(primes, "residue_sieve", no_sieve)
+    sps = seed_prime_set(smallest_primorial_at_least(E))
+    assert mismatch_filter(E) == scalar_mismatch_filter(E, sps.all_seeds)
+    tracemalloc.start()
+    try:
+        sol = goldbach_solve(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sol.case, sol.pair.p1, sol.pair.p2) == ("case-2a", 7, 999_983)
+    # an array of the 41,537 odd primes below E/2 alone takes 330 KB
+    assert peak < 16_384

@@ -343,6 +343,12 @@ def test_max_seed_prime_for():
     assert max_seed_prime_for(30030) == 173
 
 
+def test_max_seed_prime_for_each_side_of_a_primorial():
+    # memoised per ladder primorial, so both sides of each edge are checked
+    for n in (4, 6, 7, 30, 31, 210, 211, 2310, 2311, 30030, 30031, 510510, 510511):
+        assert max_seed_prime_for(n) == prev_prime(math.isqrt(smallest_primorial_at_least(n).value)), n
+
+
 def test_sieve_budget():
     with pytest.raises(BudgetError):
         sieve_odd_flags(100_000_001)
