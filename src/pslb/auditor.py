@@ -105,10 +105,9 @@ def _audit_t2(cfg) -> ClaimReport:
     sps = seed_prime_set(prim)
     cert = certified_mask(limit, sps.all_seeds)
     table = primes_up_to(limit)
-    prime = table.prime_mask()[1:]
-    z = np.arange(1, limit + 1)
-    non_seed = ~np.isin(z, np.array(sps.all_seeds))
-    bad = z[non_seed & (cert != prime[: len(cert)])]
+    # an even z is neither certified nor, unless it is the seed 2, prime
+    z = 2 * np.flatnonzero(cert != table.odd_prime_mask()) + 1
+    bad = z[~np.isin(z, np.array(sps.all_seeds))]
     rep = ClaimReport("T2", f"all non-seed z <= {limit} under seeds of {prim.value}", PASS)
     if len(bad):
         rep.counterexamples = [int(b) for b in bad[:10]]
@@ -174,9 +173,8 @@ def _audit_c32(cfg) -> ClaimReport:
         prim = nth_primorial(k)
         sps = seed_prime_set(prim)
         bound = sps.smallest_non_core**2
-        pp = potential_prime_mask(prim.value, sps.core)
-        z = np.arange(1, prim.value + 1)
-        cand = z[pp & (z < bound) & ~np.isin(z, np.array(sps.non_core))]
+        z = 2 * np.flatnonzero(potential_prime_mask(prim.value, sps.core)) + 1
+        cand = z[(z < bound) & ~np.isin(z, np.array(sps.non_core))]
         for c in cand:
             c = int(c)
             if any(c % q == 0 for q in sps.non_core):
@@ -218,13 +216,12 @@ def _audit_t5(cfg) -> ClaimReport:
     for row in rows:
         limit = min(row.A.value, row.smallest_non_core_squared - 1)
         core_of_b = tuple(int(q) for q in primes_up_to(row.B_largest_factor).ordered_primes)
-        mask = certified_mask(limit, core_of_b)
-        z = np.arange(1, limit + 1)
+        certified = 2 * np.flatnonzero(certified_mask(limit, core_of_b)) + 1
         table = primes_up_to(limit)
-        bad = [int(c) for c in z[mask] if not table.is_prime(int(c))]
+        bad = [int(c) for c in certified if not table.is_prime(int(c))]
         rep.counterexamples.extend(f"{b} below {row.smallest_non_core}^2 in row {row.index}" for b in bad)
         rep.witnesses.append(
-            f"row {row.index}: {int(mask.sum())} potential solutions < {row.smallest_non_core_squared} all prime"
+            f"row {row.index}: {len(certified)} potential solutions < {row.smallest_non_core_squared} all prime"
         )
         scopes.append(f"A={row.A.value}")
     rep.scope = "scaffold rows " + ", ".join(scopes)

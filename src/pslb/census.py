@@ -45,26 +45,26 @@ class NewCompositeSet:
         return int(self.members[0]) if len(self.members) else None
 
 
-def _prime_value_mask(p: Primorial, budget: int) -> np.ndarray:
-    """Prime mask over 0..p.value, or BudgetError when p.value exceeds the factor budget."""
+def _odd_prime_flags(p: Primorial, budget: int) -> np.ndarray:
+    """The prime table's odd flags up to p.value; BudgetError past the budget."""
     if p.value > budget:
         raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
-    return primes_up_to(p.value).prime_mask()
+    return primes_up_to(p.value).odd_prime_mask()
 
 
 def _census_masks(p: Primorial, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prime mask over 0..p.value, potential-prime mask, new-composite mask
-    over 1..p.value), or BudgetError when p.value exceeds the factor budget.
+    """(prime flags, potential-prime mask, new-composite mask) over the odd
+    integers up to p.value, or BudgetError when p.value exceeds the budget.
 
     A new composite is a potential prime (odd, no core factor) that is
     neither prime nor 1.
     """
-    prime_value_mask = _prime_value_mask(p, budget)
+    flags = _odd_prime_flags(p, budget)
     pp = potential_prime_mask(p.value, p.prime_factors)
-    new_comp = ~prime_value_mask[1:]
+    new_comp = ~flags
     new_comp &= pp
     new_comp[:1] = False  # z = 1
-    return prime_value_mask, pp, new_comp
+    return flags, pp, new_comp
 
 
 def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewCompositeSet:
@@ -73,13 +73,15 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     A member is an odd composite > 1 that no core seed prime divides; its
     smallest factor is therefore a non-core seed prime.
     """
-    new_comp = _census_masks(p, budget)[2]
-    return NewCompositeSet(p, np.flatnonzero(new_comp) + 1)
+    members = np.flatnonzero(_census_masks(p, budget)[2])
+    members *= 2
+    members += 1  # index i holds 2i + 1; in place, so one int64 array at the peak
+    return NewCompositeSet(p, members)
 
 
 def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:
     """Prime count below a primorial from core count, totient and new composites."""
-    n_b = new_composites(p, budget=budget).count
+    n_b = int(np.count_nonzero(_census_masks(p, budget)[2]))
     return len(p.prime_factors) + totient_of_primorial(p) - 1 - n_b
 
 
@@ -144,16 +146,17 @@ class CensusCounts:
     new_composites_cumulative: int
 
 
-def twin_masks(limit: int, core, prime_value_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(potential-twin mask, true-twin mask) over anchors 1..limit.
+def twin_masks(limit: int, core, odd_flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(potential-twin mask, true-twin mask) over the odd anchors up to limit
+    (index i holds 2i + 1).
 
-    `prime_value_mask` is indexed by integer value and reaches at least limit;
+    `odd_flags` are prime flags over the odd integers and reach at least limit;
     a true twin is a potential-twin anchor o2 with o2 - 2 and o2 both prime.
     """
     pt = potential_twin_mask(limit, core)
-    anchor_prime = prime_value_mask[1 : limit + 1]
+    anchor_prime = odd_flags[: len(pt)]
     tt = pt & anchor_prime  # pt already excludes anchors below 5
-    tt[2:] &= anchor_prime[:-2]
+    tt[1:] &= anchor_prime[:-1]  # o2 - 2 is the previous odd integer
     return pt, tt
 
 
@@ -168,14 +171,15 @@ def cycle_census(inner: Primorial, outer: Primorial,
     if outer.value % inner.value != 0:
         raise DomainError(f"{inner.value} does not divide {outer.value}")
     n_cycles = outer.value // inner.value
-    # one row per cycle of integers (c-1)*inner+1 .. c*inner; two masks are
-    # counted and dropped before the twin masks, so three at most are alive
-    value_mask, pp, new_comp = _census_masks(outer, budget)
-    pp_n, nc_n = _window_counts(pp, inner.value), _window_counts(new_comp, inner.value)
+    # one row per cycle of integers (c-1)*inner+1 .. c*inner: inner/2 odd flags;
+    # two masks are counted and dropped before the twin masks are built
+    width = inner.value // 2
+    flags, pp, new_comp = _census_masks(outer, budget)
+    pp_n, nc_n = _window_counts(pp, width), _window_counts(new_comp, width)
     del pp, new_comp
-    pt, tt = twin_masks(outer.value, outer.prime_factors, value_mask)
+    pt, tt = twin_masks(outer.value, outer.prime_factors, flags)
     # every true-twin anchor is a potential one, so false twins are the difference
-    pt_n, tt_n = _window_counts(pt, inner.value), _window_counts(tt, inner.value)
+    pt_n, tt_n = _window_counts(pt, width), _window_counts(tt, width)
     per_cycle = np.stack([pp_n, pt_n, pt_n - tt_n, tt_n, nc_n], axis=1)
     cum = np.cumsum(per_cycle, axis=0)
     return [
@@ -225,11 +229,11 @@ def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Fi
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
     pp, new_comp = _census_masks(p, budget)[1:]
-    width = 2 * max_seed_prime_for(p.value)
-    starts = np.arange(0, p.value, width)
-    ends = np.minimum(starts + width, p.value)
-    potential = _window_counts(pp, width)
-    cum = np.cumsum(_window_counts(new_comp, width))
+    max_seed = max_seed_prime_for(p.value)  # a window's odd half is max_seed flags
+    starts = np.arange(0, p.value, 2 * max_seed)
+    ends = np.minimum(starts + 2 * max_seed, p.value)
+    potential = _window_counts(pp, max_seed)
+    cum = np.cumsum(_window_counts(new_comp, max_seed))
     return [
         Figure1Window(
             index=i + 1,

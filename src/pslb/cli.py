@@ -11,6 +11,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -124,20 +125,12 @@ def _cmd_census(args) -> tables.TableData:
     inner = _primorial_by_value(args.inner)
     outer = _primorial_by_value(args.outer)
     rows = census.cycle_census(inner, outer, budget=args.sieve_budget)
-    out = [
-        [r.cycle_index, r.cycle_end, r.cycle_length,
-         r.potential_primes, r.potential_twins, r.false_twins, r.true_twins,
-         r.cumulative_potential_primes, r.cumulative_potential_twins,
-         r.cumulative_false_twins, r.cumulative_true_twins,
-         r.new_composites_cumulative]
-        for r in rows
-    ]
     return tables.TableData(
         0, f"census of {inner.value} cycles within {outer.value}",
         ("cycle", "cycle_end", "cycle_length", "potential_primes", "potential_twins",
          "false_twins", "true_twins", "cum_potential_primes", "cum_potential_twins",
          "cum_false_twins", "cum_true_twins", "cum_new_composites"),
-        out,
+        [list(astuple(r)) for r in rows],  # one column per CensusCounts field, in order
     )
 
 
@@ -177,15 +170,15 @@ def _cmd_twins(args) -> tables.TableData:
     if limit < 5:
         raise DomainError(f"need --below >= 5, got {limit}")
     outer = smallest_primorial_at_least(limit)
-    prime_value_mask = census._prime_value_mask(outer, args.sieve_budget)
-    pt, tt = census.twin_masks(limit, outer.prime_factors, prime_value_mask)
+    odd_flags = census._odd_prime_flags(outer, args.sieve_budget)
+    pt, tt = census.twin_masks(limit, outer.prime_factors, odd_flags)
     if args.count:
         return tables.TableData(
             0, f"true twin pairs with anchor <= {limit}",
             ("below", "potential_twins", "true_twins"),
             [[limit, int(pt.sum()), int(tt.sum())]],
         )
-    anchors = np.flatnonzero(tt) + 1
+    anchors = 2 * np.flatnonzero(tt) + 1
     rows = [[int(a) - 2, int(a)] for a in anchors]
     return tables.TableData(
         0, f"twin pairs with anchor <= {limit}", ("smaller", "larger"), rows

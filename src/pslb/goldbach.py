@@ -15,7 +15,7 @@ from .primes import (
     max_seed_prime_for,
     next_prime,
     primes_up_to,
-    residue_sieve,
+    seed_free_odd_mask,
     smallest_primorial_at_least,
 )
 
@@ -141,13 +141,6 @@ def mismatch_filter(E: int) -> list[int]:
     return out
 
 
-def _seed_free_mask(lo: int, hi: int, n: int) -> np.ndarray:
-    """Mask over the odd integers 2i + 1, i in lo..hi, that no seed prime of n
-    divides; a seed q = 2i + 1 forbids the indexes = i (mod q)."""
-    seeds = np.flatnonzero(primes_up_to(max_seed_prime_for(n)).odd_prime_mask()).tolist()
-    return residue_sieve(lo, hi, {2 * i + 1: (i,) for i in seeds})
-
-
 def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     """(E, p1) pairs where the mismatch filter yields a composite partner.
 
@@ -168,7 +161,9 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
         # (lo/2, hi - 3], the composites that pass the filter. The seeds of a
         # full seed set leave none, and such a band is skipped.
         first = (lo // 2 + 1) // 2
-        rough_composite = _seed_free_mask(first, (hi - 3) // 2, prim.value)
+        seed_flags = primes_up_to(max_seed_prime_for(prim.value)).odd_prime_mask()
+        seeds = (2 * np.flatnonzero(seed_flags) + 1).tolist()
+        rough_composite = seed_free_odd_mask(first, (hi - 3) // 2, seeds)
         flags = table.odd_prime_mask()[first : first + rough_composite.size]
         np.greater(rough_composite, flags, out=rough_composite)  # and not prime
         if rough_composite.any():

@@ -1,10 +1,11 @@
 """Prime generation, primorials and the seed-prime partition.
 
-The sieve stores one flag per odd integer and is one call to `residue_sieve`,
-the lab's one strided kernel, which every residue mask also uses. One
-module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
-and `next_prime` read it, and it is re-sieved, at least doubled and at most
-to the primality budget, only when a limit past its end is asked for.
+Every mask indexes the odd integers (index i holds 2i + 1): the prime flags
+and every residue mask are one `seed_free_odd_mask` over `residue_sieve`, the
+lab's one strided kernel. One module-level table serves every prime lookup:
+`primes_up_to`, `prev_prime` and `next_prime` read its odd flags, and it is
+re-sieved, at least doubled and at most to the primality budget, only when a
+limit past its end is asked for.
 Likewise one ladder of the 64-bit primorials, built at import by trial
 division (no sieve), serves every primorial lookup.
 """
@@ -80,6 +81,12 @@ def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> n
     return keep
 
 
+def seed_free_odd_mask(lo: int, hi: int, seeds: Iterable[int]) -> np.ndarray:
+    """Mask over the odd integers 2i + 1, i in lo..hi (inclusive), that no
+    seed divides: odd q divides 2i + 1 exactly when i = q // 2 (mod q), 2 never."""
+    return residue_sieve(lo, hi, {q: (q // 2,) for q in seeds if q != 2})
+
+
 def sieve_odd_flags(limit: int) -> np.ndarray:
     """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
     if limit < 2:
@@ -90,15 +97,13 @@ def sieve_odd_flags(limit: int) -> np.ndarray:
 
 
 def _odd_flags(limit: int) -> np.ndarray:
-    """The odd flags up to limit >= 1, as one residue sieve over the indexes.
-
-    Index i stands for 2i + 1, so the odd multiples of a seed p = 2i + 1 are
-    the indexes congruent to i mod p. The odd seeds up to sqrt(limit) come
-    from the same sieve one level down; their own flags are set back afterwards.
+    """The odd flags up to limit >= 1: the odd integers free of the odd seeds
+    up to sqrt(limit), which come from the same sieve one level down; their
+    own flags are set back afterwards.
     """
     root = math.isqrt(limit)
     seeds = (2 * np.flatnonzero(_odd_flags(root)) + 1).tolist() if root >= 3 else []
-    flags = residue_sieve(0, (limit - 1) // 2, {p: (p // 2,) for p in seeds})
+    flags = seed_free_odd_mask(0, (limit - 1) // 2, seeds)
     flags[[p // 2 for p in seeds]] = True  # the seeds themselves are prime
     flags[0] = False  # 1 is not prime
     return flags
@@ -241,28 +246,33 @@ def primes_up_to(limit: int) -> PrimeTable:
 
 
 def prev_prime(n: int) -> int:
-    """Largest prime <= n."""
+    """Largest prime <= n, read off the shared table's odd flags down from n."""
     if n < 2:
         raise DomainError(f"no prime at or below {n}")
-    primes = _shared_table(n).ordered_primes
-    return int(primes[np.searchsorted(primes, n, side="right") - 1])
+    flags = _shared_table(n).odd_prime_mask()
+    i = (n - 1) // 2  # the largest odd integer <= n
+    while i and not flags[i]:
+        i -= 1
+    return 2 * i + 1 if i else 2  # index 0 holds 1, so i reaches 0 only at n = 2
 
 
 def next_prime(n: int) -> int:
-    """Smallest prime > n.
+    """Smallest prime > n, read off the shared table's odd flags up from n.
 
     The shared table grows only when it holds no prime above n, and then to
     2n (by Bertrand's postulate a prime lies in (n, 2n]), or to the primality
     budget if that comes first.
     """
-    primes = _shared_table(2).ordered_primes
-    i = int(np.searchsorted(primes, n, side="right"))
-    if i == len(primes):
-        primes = _shared_table(max(n + 1, min(2 * n, DEFAULT_PRIMALITY_BUDGET))).ordered_primes
-        i = int(np.searchsorted(primes, n, side="right"))
-        if i == len(primes):
-            raise BudgetError(f"no prime above {n} within primality budget {DEFAULT_PRIMALITY_BUDGET}")
-    return int(primes[i])
+    if n < 2:
+        return 2
+    for limit in (2, max(n + 1, min(2 * n, DEFAULT_PRIMALITY_BUDGET))):
+        flags = _shared_table(limit).odd_prime_mask()
+        i = (n + 1) // 2  # the least odd integer > n
+        while i < len(flags) and not flags[i]:
+            i += 1
+        if i < len(flags):
+            return 2 * i + 1
+    raise BudgetError(f"no prime above {n} within primality budget {DEFAULT_PRIMALITY_BUDGET}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .primes import SeedPrimeSet, is_prime, primes_up_to, residue_sieve
+# residue_sieve is only re-exported: pslb.signatures.residue_sieve is the kernel
+from .primes import SeedPrimeSet, is_prime, primes_up_to, residue_sieve, seed_free_odd_mask
 
 VERDICT_UNIT = "unit"
 VERDICT_SEED_PRIME = "seed-prime"
@@ -197,30 +198,24 @@ def residue_cycle(p: int, parity: str) -> tuple[int, ...]:
     return tuple((start + 2 * k) % p for k in range(p))
 
 
-def _odd_seed_classes(seeds) -> dict[int, tuple[int, ...]]:
-    """The one forbidden class, 0, at 2 and at every seed."""
-    return dict.fromkeys((2, *seeds), (0,))
-
-
 def potential_prime_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
-    """Mask over 1..limit of odd integers with no zero core residue.
-
-    Index i corresponds to the integer i+1.
-    """
-    return residue_sieve(1, limit, _odd_seed_classes(core))
+    """Mask over the odd integers up to limit (index i holds 2i + 1) with no
+    zero core residue."""
+    return seed_free_odd_mask(0, (limit - 1) // 2, core)
 
 
 def potential_twin_mask(limit: int, core: tuple[int, ...]) -> np.ndarray:
-    """Mask over 1..limit of twin anchors o2 >= 5 where o2 and o2 - 2 are
-    both potential primes."""
-    mask = residue_sieve(1, limit, _odd_seed_classes(core))  # the potential primes
-    mask[2:] &= mask[:-2]  # NumPy reads the overlapping shift before writing
-    mask[:4] = False  # anchors start at 5
+    """Mask over the odd integers up to limit (index i holds 2i + 1) of twin
+    anchors o2 >= 5 where o2 and o2 - 2 are both potential primes."""
+    mask = seed_free_odd_mask(0, (limit - 1) // 2, core)  # the potential primes
+    mask[1:] &= mask[:-1]  # o2 - 2 is the previous odd integer; NumPy reads before writing
+    mask[:2] = False  # anchors start at 5
     return mask
 
 
 def certified_mask(limit: int, seeds: tuple[int, ...]) -> np.ndarray:
-    """Mask over 1..limit of odd z > 1 with no zero residue at any seed."""
-    mask = residue_sieve(1, limit, _odd_seed_classes(seeds))
+    """Mask over the odd integers up to limit (index i holds 2i + 1) of z > 1
+    with no zero residue at any seed."""
+    mask = seed_free_odd_mask(0, (limit - 1) // 2, seeds)
     mask[:1] = False  # z = 1
     return mask

@@ -216,10 +216,11 @@ def test_new_composites_match_arange_formula(k):
 @pytest.mark.parametrize("limit", (1, 2, 3, 4, 5, 6, 7, 30, 31, 2310, 30030))
 def test_twin_masks_match_arange_formula(limit):
     core = nth_primorial(6).prime_factors
-    value_mask = primes_up_to(30030).prime_mask()
-    for got, want in zip(twin_masks(limit, core, value_mask),
-                         arange_twin_masks(limit, core, value_mask)):
-        assert np.array_equal(got, want)
+    table = primes_up_to(30030)
+    for got, want in zip(twin_masks(limit, core, table.odd_prime_mask()),
+                         arange_twin_masks(limit, core, table.prime_mask())):
+        assert np.array_equal(got, want[::2])  # the masks hold the odd anchors
+        assert not want[1::2].any()
 
 
 @pytest.mark.parametrize("k", range(3, 8))  # 30 (width 10 divides it) .. 510510
@@ -243,8 +244,8 @@ def test_figure1_series_matches_reduceat(k):
 @pytest.mark.parametrize("ks", [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 7)])
 def test_cycle_census_false_twins_match_mask_difference(ks):
     inner, outer = map(nth_primorial, ks)
-    pt, tt = twin_masks(outer.value, outer.prime_factors, primes_up_to(outer.value).prime_mask())
-    false = (pt & ~tt).reshape(-1, inner.value).sum(axis=1)
+    pt, tt = twin_masks(outer.value, outer.prime_factors, primes_up_to(outer.value).odd_prime_mask())
+    false = (pt & ~tt).reshape(-1, inner.value // 2).sum(axis=1)  # a cycle's odd half
     rows = cycle_census(inner, outer)
     assert [r.false_twins for r in rows] == false.tolist()
     assert [r.cumulative_false_twins for r in rows] == np.cumsum(false).tolist()
@@ -260,6 +261,29 @@ def test_figure1_series_memory_per_integer():
     finally:
         tracemalloc.stop()
     assert peak < 8 * prim.value
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# every census mask holds the odd integers only, half a byte per integer
+def test_cycle_census_odd_masks_stay_under_two_bytes_per_integer():
+    prim = nth_primorial(7)
+    cycle_census(prim, prim)  # warm the shared table
+    assert traced_peak(lambda: cycle_census(prim, prim)) < 2 * prim.value
+
+
+def test_figure1_series_odd_masks_stay_under_two_bytes_per_integer():
+    prim = nth_primorial(7)
+    figure1_series(prim)  # warm the shared table and the seed set
+    assert traced_peak(lambda: figure1_series(prim)) < 2 * prim.value
 
 
 def test_cycle_census_memory_per_integer():

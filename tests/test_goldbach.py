@@ -325,7 +325,7 @@ def test_solver_and_filter_read_the_table_without_sieving(monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("residue_sieve called")
 
-    monkeypatch.setattr(goldbach, "residue_sieve", no_sieve)
+    monkeypatch.setattr(goldbach, "seed_free_odd_mask", no_sieve)
     monkeypatch.setattr(primes, "residue_sieve", no_sieve)
     sps = seed_prime_set(smallest_primorial_at_least(E))
     assert mismatch_filter(E) == scalar_mismatch_filter(E, sps.all_seeds)

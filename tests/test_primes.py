@@ -215,6 +215,15 @@ def test_next_prime_past_a_fresh_table(n, expected):
         assert next_prime(n) == expected
 
 
+def test_neighbor_queries_read_the_flags_without_a_prime_array():
+    with empty_shared_table():
+        primes_up_to(10**7)  # its prime array alone would take 5.3 MB
+        assert traced_peak(lambda: prev_prime(14936)) < 2**20
+        assert traced_peak(lambda: next_prime(14936)) < 2**20
+        assert (prev_prime(14936), next_prime(14936)) == (14929, 14939)
+        assert primes._table._primes is None
+
+
 def test_nth_primorial_values():
     values = [2, 6, 30, 210, 2310, 30030, 510510, 9699690]
     for k, v in enumerate(values, start=1):
