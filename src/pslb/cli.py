@@ -212,7 +212,7 @@ def _cmd_audit(args) -> tables.TableData:
 
 def _cmd_cache(args) -> tables.TableData:
     if args.action == "build":
-        table = PrimeTable(args.limit)
+        table = PrimeTable.packed(args.limit)
         table.save(args.cache_path)
     else:
         table = PrimeTable.load(args.cache_path)

@@ -5,7 +5,9 @@ and every residue mask are one `seed_free_odd_mask` over `residue_sieve`, the
 lab's one strided kernel. One module-level table serves every prime lookup:
 `primes_up_to`, `prev_prime` and `next_prime` read its odd flags, and it is
 re-sieved, at least doubled and at most to the primality budget, only when a
-limit past its end is asked for.
+limit past its end is asked for. A table for a cache file is sieved window by
+window straight into the file's packed bitset, and a loaded one answers from
+that bitset; neither holds one bool per odd integer unless asked for its flags.
 Likewise one ladder of the 64-bit primorials, built at import by trial
 division (no sieve), serves every primorial lookup.
 """
@@ -69,43 +71,84 @@ def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> n
     if size > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"residue window of {size} integers exceeds primality budget "
                           f"{DEFAULT_PRIMALITY_BUDGET}")
+    for q in forbidden:
+        if q < 1:
+            raise DomainError(f"residue modulus must be >= 1, got {q}")
     keep = np.ones(size, dtype=bool)
-    for w in range(0, size or 1, _WINDOW):  # an empty mask still checks its moduli
-        window = keep[w : w + _WINDOW]
-        start = lo + w  # the integer at window[0]
-        for q, residues in forbidden.items():
-            if q < 1:
-                raise DomainError(f"residue modulus must be >= 1, got {q}")
-            for r in residues:
-                window[(r - start) % q :: q] = False
+    for w in range(0, size, _WINDOW):
+        _clear_classes(keep[w : w + _WINDOW], lo + w, forbidden)
     return keep
+
+
+def _clear_classes(window: np.ndarray, start: int, forbidden: Mapping[int, Iterable[int]]) -> None:
+    """Clear the flags of window, which holds the integers from start, at
+    every forbidden class: one strided slice per class."""
+    for q, residues in forbidden.items():
+        for r in residues:
+            window[(r - start) % q :: q] = False
+
+
+def _seed_classes(seeds: Iterable[int]) -> dict[int, tuple[int]]:
+    """The index class each seed forbids over the odd integers 2i + 1: odd q
+    divides 2i + 1 exactly when i = q // 2 (mod q), 2 never."""
+    return {q: (q // 2,) for q in seeds if q != 2}
 
 
 def seed_free_odd_mask(lo: int, hi: int, seeds: Iterable[int]) -> np.ndarray:
     """Mask over the odd integers 2i + 1, i in lo..hi (inclusive), that no
-    seed divides: odd q divides 2i + 1 exactly when i = q // 2 (mod q), 2 never."""
-    return residue_sieve(lo, hi, {q: (q // 2,) for q in seeds if q != 2})
+    seed divides."""
+    return residue_sieve(lo, hi, _seed_classes(seeds))
 
 
-def sieve_odd_flags(limit: int) -> np.ndarray:
-    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
+def _check_sieve_limit(limit: int) -> None:
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"sieve limit {limit} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
+
+
+def sieve_odd_flags(limit: int) -> np.ndarray:
+    """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
+    _check_sieve_limit(limit)
     return _odd_flags(limit)
 
 
-def _odd_flags(limit: int) -> np.ndarray:
-    """The odd flags up to limit >= 1: the odd integers free of the odd seeds
-    up to sqrt(limit), which come from the same sieve one level down; their
-    own flags are set back afterwards.
+def _prime_windows(limit: int, flags: np.ndarray | None = None):
+    """Sieve the prime flags of the odd integers up to limit >= 1 one window
+    at a time, and yield (lo, window) as each is done: window holds the flags
+    of 2i + 1 for i from lo. The windows are slices of flags, which has room
+    for every flag, or without flags of one buffer that each window reuses.
+
+    A window keeps the odd integers free of the odd seeds up to sqrt(limit),
+    which come from the same sieve one level down; the seeds' own flags are
+    set back and 1's is cleared. Windows hold _WINDOW flags rounded up to
+    whole bytes, so each one packs into a bitset on its own.
     """
     root = math.isqrt(limit)
-    seeds = (2 * np.flatnonzero(_odd_flags(root)) + 1).tolist() if root >= 3 else []
-    flags = seed_free_odd_mask(0, (limit - 1) // 2, seeds)
-    flags[[p // 2 for p in seeds]] = True  # the seeds themselves are prime
-    flags[0] = False  # 1 is not prime
+    at = np.flatnonzero(_odd_flags(root)) if root >= 3 else np.zeros(0, dtype=np.intp)
+    classes = _seed_classes((2 * at + 1).tolist())  # at holds the seeds' indexes
+    size = (limit + 1) // 2
+    step = -(-_WINDOW // 8) * 8
+    whole = flags is not None
+    if not whole:
+        flags = np.empty(min(step, size), dtype=bool)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        window = flags[lo:hi] if whole else flags[: hi - lo]
+        window[:] = True
+        _clear_classes(window, lo, classes)
+        a, b = np.searchsorted(at, (lo, hi))
+        window[at[a:b] - lo] = True  # the seeds themselves are prime
+        if lo == 0:
+            window[0] = False  # 1 is not prime
+        yield lo, window
+
+
+def _odd_flags(limit: int) -> np.ndarray:
+    """The odd flags up to limit >= 1, each window sieved in place."""
+    flags = np.empty((limit + 1) // 2, dtype=bool)
+    for _ in _prime_windows(limit, flags):
+        pass
     return flags
 
 
@@ -115,7 +158,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class PrimeTable:
-    """Queryable set of primes up to an inclusive limit; its arrays are read-only."""
+    """Queryable set of primes up to an inclusive limit; its arrays are read-only.
+
+    A table holds its odd flags one bool per odd integer; `packed` and `load`
+    give a table that holds them 8 to a byte, as a cache file does.
+    """
 
     def __init__(self, limit: int, _odd_flags: np.ndarray | None = None):
         if limit < 2:
@@ -164,6 +211,16 @@ class PrimeTable:
         mask[2] = True  # limit >= 2
         return mask
 
+    @classmethod
+    def packed(cls, limit: int) -> "PrimeTable":
+        """The table up to limit, sieved window by window straight into the
+        packed bitset a cache file keeps; no bool flag array is ever built."""
+        _check_sieve_limit(limit)
+        bits = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
+        for lo, window in _prime_windows(limit):
+            bits[lo // 8 : (lo + window.size + 7) // 8] = np.packbits(window)
+        return _PackedTable(limit, bits)
+
     def _view(self, limit: int) -> "PrimeTable":
         """The table up to limit <= self.limit, as slices of this one's arrays;
         its prime array is cut from this one's only when first asked for."""
@@ -173,9 +230,13 @@ class PrimeTable:
 
     # -- cache file ----------------------------------------------------------
 
+    def _bitset(self) -> np.ndarray:
+        """The odd flags packed 8 to a byte, most significant bit first."""
+        return np.packbits(self._odd)
+
     def save(self, path) -> None:
         limit = struct.pack("<Q", self.limit)
-        body = np.packbits(self._odd)  # written and checksummed as a buffer, no bytes copy
+        body = self._bitset()  # written and checksummed as a buffer, no bytes copy
         with open(path, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(struct.pack("<B", CACHE_VERSION))
@@ -187,8 +248,8 @@ class PrimeTable:
     def load(cls, path) -> "PrimeTable":
         """Read a cache file; DomainError if it is corrupt or of another version.
 
-        The body is checksummed and unpacked through a memoryview, and the
-        unpacked bytes are viewed as the flags, so nothing is copied.
+        The body is checksummed through a memoryview and kept, uncopied, as
+        the table's bitset: the flags are unpacked only if asked for.
         """
         with open(path, "rb") as fh:
             blob = memoryview(fh.read())
@@ -205,6 +266,8 @@ class PrimeTable:
                 f"bad sieve cache: expected a {_CACHE_HEADER}-byte header, found {len(blob)} bytes"
             )
         (limit,) = struct.unpack("<Q", blob[5:13])
+        if limit < 2:
+            raise DomainError(f"bad sieve cache: limit {limit} is below 2")
         size = (limit + 1) // 2
         expected = (size + 7) // 8
         body = blob[_CACHE_HEADER:]
@@ -215,8 +278,46 @@ class PrimeTable:
         (stored,) = struct.unpack("<I", blob[13:17])
         if zlib.crc32(body, zlib.crc32(blob[5:13])) != stored:
             raise DomainError("bad sieve cache: checksum mismatch")
-        flags = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=size).view(bool)
-        return cls(limit, _odd_flags=flags)
+        tail = size % 8  # flags in the last byte; the bits after them are padding
+        if tail and body[-1] & (0xFF >> tail):
+            raise DomainError("bad sieve cache: padding bits set after the last flag")
+        return _PackedTable(limit, np.frombuffer(body, dtype=np.uint8))
+
+
+class _PackedTable(PrimeTable):
+    """A table born packed (`PrimeTable.packed` or `PrimeTable.load`).
+
+    `is_prime` reads one bit and `prime_count` counts the bits; anything else
+    unpacks the bitset once, on first use, into the read-only bool flags.
+    """
+
+    def __init__(self, limit: int, bits: np.ndarray):
+        self.limit = limit
+        self._bits = _read_only(bits)
+        self._primes = None
+        self._parent = None
+
+    @cached_property
+    def _odd(self) -> np.ndarray:
+        return _read_only(np.unpackbits(self._bits, count=(self.limit + 1) // 2).view(bool))
+
+    def is_prime(self, n: int) -> bool:
+        if n < 2 or n > self.limit:
+            return False
+        if n % 2 == 0:
+            return n == 2
+        i = n // 2
+        return bool(self._bits[i >> 3] >> (7 - (i & 7)) & 1)
+
+    @property
+    def prime_count(self) -> int:
+        """pi(limit): 2 and the bits set, counted 64 KB of bitset at a time."""
+        bits, step = self._bits, 1 << 16
+        return 1 + sum(int.from_bytes(bits[i : i + step], "little").bit_count()
+                       for i in range(0, bits.size, step))
+
+    def _bitset(self) -> np.ndarray:
+        return self._bits
 
 
 # The shared table; it starts at _TABLE_FLOOR so small limits sieve once.
@@ -368,8 +469,8 @@ def seed_prime_set(p: Primorial) -> SeedPrimeSet:
     """
     if p.value < 30:
         raise DomainError(f"seed prime partition needs primorial >= 30, got {p.value}")
-    primes = primes_up_to(math.isqrt(p.value)).ordered_primes
-    non_core = tuple(primes[np.searchsorted(primes, p.largest_factor, side="right"):].tolist())
+    odd = 2 * np.flatnonzero(primes_up_to(math.isqrt(p.value)).odd_prime_mask()) + 1
+    non_core = tuple(odd[odd > p.largest_factor].tolist())
     return SeedPrimeSet(p, p.prime_factors, non_core)
 
 

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -276,6 +277,17 @@ def test_cache_verify_truncated_header(capsys, tmp_path):
     code, _, err = run(capsys, "cache", "verify", str(path))
     assert code == 1
     assert "bad sieve cache" in err
+
+
+def test_cache_verify_header_limit_below_2(capsys, tmp_path):
+    path = tmp_path / "cache.sieve"
+    limit, body = (1).to_bytes(8, "little"), b"\x00"
+    crc = zlib.crc32(body, zlib.crc32(limit)).to_bytes(4, "little")
+    path.write_bytes(b"PSLB\x02" + limit + crc + body)
+    code, out, err = run(capsys, "cache", "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad sieve cache: limit")
 
 
 @pytest.mark.parametrize("flag", [[], ["--pairs"], ["--filter"]])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb import primes
+from pslb import cli, primes
 from pslb.errors import BudgetError, DomainError, PrimorialOverflowError
 from pslb.primes import (
     PrimeTable,
@@ -346,6 +346,24 @@ def test_seed_prime_set_is_memoised_and_errors_are_not():
             seed_prime_set(nth_primorial(14))
 
 
+@pytest.mark.parametrize("k", range(3, 10))  # 5# ... 23#
+def test_seed_prime_sets_match_trial_division(k):
+    p = nth_primorial(k)
+    sps = seed_prime_set(p)
+    assert sps.core == p.prime_factors
+    assert sps.non_core == tuple(
+        q for q in range(p.largest_factor + 1, math.isqrt(p.value) + 1) if is_prime(q))
+
+
+def test_seed_prime_set_reads_the_flags_without_a_prime_array():
+    with empty_shared_table():
+        primes_up_to(10**7)  # its prime array alone would take 5.3 MB
+        seed_prime_set.cache_clear()
+        assert traced_peak(lambda: seed_prime_set(nth_primorial(9))) < 2**20
+        assert len(seed_prime_set(nth_primorial(9)).non_core) == 1739
+        assert primes._table._primes is None
+
+
 def test_max_seed_prime_for():
     assert max_seed_prime_for(68) == 13
     assert max_seed_prime_for(2310) == 47
@@ -497,4 +515,98 @@ def test_cache_corruption_detected(tmp_path, mutate):
     PrimeTable(1000).save(path)
     path.write_bytes(mutate(path.read_bytes()))
     with pytest.raises(DomainError):
+        PrimeTable.load(path)
+
+
+@pytest.mark.parametrize("window", [8, 9, 12, 64])
+def test_packed_build_equals_the_packed_sieve(window):
+    # a window that is not a multiple of 8 must still pack on byte boundaries
+    limits = (2, 3, 17, 2 * window - 1, 2 * window + 1, 100_001)
+    expected = [np.packbits(sieve_odd_flags(limit)) for limit in limits]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        for limit, bits in zip(limits, expected):
+            table = PrimeTable.packed(limit)
+            assert table.limit == limit
+            assert np.array_equal(table._bitset(), bits), limit
+            assert "_odd" not in vars(table)  # never unpacked
+
+
+def test_packed_build_checks_its_limit():
+    with pytest.raises(DomainError):
+        PrimeTable.packed(1)
+    with pytest.raises(BudgetError):
+        PrimeTable.packed(100_000_001)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 300_000), st.lists(st.integers(-3, 300_003), max_size=40))
+def test_loaded_table_answers_from_its_bits(tmp_path_factory, limit, ns):
+    path = tmp_path_factory.mktemp("bits") / "p.sieve"
+    sieved = PrimeTable(limit)
+    sieved.save(path)
+    loaded = PrimeTable.load(path)
+    assert loaded.prime_count == sieved.prime_count
+    for n in ns + [-1, 0, 1, 2, 3, limit - 1, limit, limit + 1]:
+        assert loaded.is_prime(n) == (n in loaded) == sieved.is_prime(n) == (n <= limit and is_prime(n)), n
+    assert "_odd" not in vars(loaded)  # all of it answered before any unpack
+
+
+def test_packed_tables_unpack_once_into_read_only_flags(tmp_path):
+    limit = 100_001
+    path = tmp_path / "p.sieve"
+    PrimeTable.packed(limit).save(path)
+    sieved = PrimeTable(limit)
+    for table in (PrimeTable.packed(limit), PrimeTable.load(path)):
+        flags = table.odd_prime_mask()
+        assert flags is table.odd_prime_mask()
+        assert np.array_equal(flags, sieved.odd_prime_mask())
+        assert np.array_equal(table.ordered_primes, sieved.ordered_primes)
+        with pytest.raises(ValueError):
+            flags[1] = False
+        with pytest.raises(ValueError):
+            table.ordered_primes[0] = 4
+        assert table.prime_count == sieved.prime_count
+
+
+def test_cache_build_at_1e7_holds_no_bool_flags(tmp_path, capsys):
+    path = tmp_path / "p.sieve"
+    argv = ["cache", "build", "--limit", "10000000", "--out-path", str(path)]
+    assert traced_peak(lambda: cli.main(argv)) < 4 * 2**20  # the flags alone are 5 MB
+    assert path.read_bytes()[17:] == np.packbits(sieve_odd_flags(10**7)).tobytes()
+
+
+def test_cache_load_and_lookups_at_1e7_read_the_bits(tmp_path):
+    path = tmp_path / "p.sieve"
+    PrimeTable.packed(10**7).save(path)
+    ns = range(9_990_001, 10**7 + 1, 10)
+    expected = [is_prime(n) for n in ns]  # by trial division
+
+    def load_and_ask():
+        table = PrimeTable.load(path)
+        assert table.prime_count == 664_579
+        assert [table.is_prime(n) for n in ns] == expected
+
+    assert traced_peak(load_and_ask) < 2 * 2**20  # the flags alone are 5 MB
+
+
+def write_cache(path, limit, body):
+    """A version-2 cache file with a valid checksum over any limit and body."""
+    limit_bytes = limit.to_bytes(8, "little")
+    crc = zlib.crc32(body, zlib.crc32(limit_bytes))
+    path.write_bytes(b"PSLB" + bytes([2]) + limit_bytes + crc.to_bytes(4, "little") + body)
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_cache_header_limit_below_2(tmp_path, limit):
+    path = tmp_path / "p.sieve"
+    write_cache(path, limit, bytes(((limit + 1) // 2 + 7) // 8))
+    with pytest.raises(DomainError, match="bad sieve cache: limit"):
+        PrimeTable.load(path)
+
+
+def test_cache_padding_bits_set(tmp_path):
+    path = tmp_path / "p.sieve"
+    write_cache(path, 17, np.packbits(sieve_odd_flags(17)).tobytes()[:-1] + b"\x01")
+    with pytest.raises(DomainError, match="padding"):
         PrimeTable.load(path)
