@@ -10,7 +10,6 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .primes import (
     DEFAULT_PRIMALITY_BUDGET,
-    PrimeTable,
     largest_primorial_at_most,
     max_seed_prime_for,
     next_prime,
@@ -38,28 +37,37 @@ def _check_even(E: int) -> None:
         raise DomainError(f"need an even integer > 4, got {E}")
 
 
-def _partners(E: int, table: PrimeTable) -> np.ndarray:
+def _paired(flags: np.ndarray, partners: np.ndarray, h: int, lo: int, hi: int) -> np.ndarray:
+    """The odd indexes k in [lo, hi) where flags[k] and partners[h - k] are set.
+
+    With h = E/2 - 1, h - k is the odd index of E - (2k + 1), the partner of
+    p1 = 2k + 1, so the partners' flags are one slice read backwards: no
+    gather and no prime array. Needs lo <= hi <= h + 1.
+    """
+    return lo + np.flatnonzero(flags[lo:hi] & partners[h - hi + 1 : h - lo + 1][::-1])
+
+
+def _partners(E: int, flags: np.ndarray) -> np.ndarray:
     """Odd primes p1 <= E/2 whose partner E - p1 is prime, ascending.
 
-    `table` must reach E - 3. p1 = 2 never pairs, since E - 2 is even and > 2.
+    The odd prime flags must reach E - 3. p1 = 2 never pairs: E - 2 is even and > 2.
     """
-    primes = table.ordered_primes
-    p1 = primes[1 : np.searchsorted(primes, E // 2, side="right")]
-    return p1[table.odd_prime_mask()[(E - p1) // 2]]
+    return 2 * _paired(flags, flags, E // 2 - 1, 1, (E + 2) // 4) + 1
 
 
 def goldbach_pairs(E: int) -> list[GoldbachPair]:
     """All prime pairs summing to E, ascending by the smaller member."""
     _check_even(E)
-    return [GoldbachPair(E, p1, E - p1) for p1 in _partners(E, primes_up_to(E)).tolist()]
+    flags = primes_up_to(E).odd_prime_mask()
+    return [GoldbachPair(E, p1, E - p1) for p1 in _partners(E, flags).tolist()]
 
 
 def pair_count_table(upper: int) -> list[tuple[int, int, int]]:
     """(E, E mod 3, pair count) for every even 6 <= E <= upper."""
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
-    table = primes_up_to(upper)
-    return [(E, E % 3, len(_partners(E, table))) for E in range(6, upper + 1, 2)]
+    flags = primes_up_to(upper).odd_prime_mask()
+    return [(E, E % 3, len(_partners(E, flags))) for E in range(6, upper + 1, 2)]
 
 
 CLASS_0, CLASS_1, CLASS_2, SEED_3 = "[0]", "[1]", "[2]", "3"
@@ -113,15 +121,15 @@ def residue_addition_table(p: int) -> np.ndarray:
     return np.remainder(grid, p, out=grid)  # in place: one grid at the peak
 
 
-def _mismatched(E: int, p1: np.ndarray, table: PrimeTable, max_seed: int) -> np.ndarray:
-    """Which odd primes p1 < E/2 share no residue class with E at any seed prime.
+def _mismatch_end(E: int, max_seed: int) -> int:
+    """End of the odd indexes k whose p1 = 2k + 1 the mismatch filter reads.
 
     p1 = E (mod q) exactly when q divides the partner E - p1. The partner lies
     below the least primorial >= E, and the seeds reach its square root (T2),
-    so it has no seed factor exactly when it is a prime above the largest seed.
+    so it has no seed factor exactly when it is a prime above the largest seed:
+    p1 < E/2 gives k < E // 4, and E - p1 > max_seed gives k < (E - max_seed) // 2.
     """
-    partner = E - p1
-    return table.odd_prime_mask()[partner // 2] & (partner > max_seed)
+    return min(E // 4, (E - max_seed) // 2)
 
 
 def mismatch_filter(E: int) -> list[int]:
@@ -133,9 +141,9 @@ def mismatch_filter(E: int) -> list[int]:
     """
     _check_even(E)
     table = primes_up_to(E)
-    primes = table.ordered_primes
-    p1 = primes[1 : np.searchsorted(primes, E // 2)]  # odd, 2 * p1 < E
-    out = p1[_mismatched(E, p1, table, max_seed_prime_for(E))].tolist()
+    flags = table.odd_prime_mask()
+    k = _paired(flags, flags, E // 2 - 1, 1, _mismatch_end(E, max_seed_prime_for(E)))
+    out = (2 * k + 1).tolist()
     if table.is_prime(E // 2):
         out.append(E // 2)
     return out
@@ -150,7 +158,7 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     """
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
-    table = primes_up_to(upper)
+    flags = primes_up_to(upper).odd_prime_mask()
     # Seed sets only change at primorial boundaries; group evens by them.
     violations = []
     lo = 6
@@ -164,13 +172,12 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
         seed_flags = primes_up_to(max_seed_prime_for(prim.value)).odd_prime_mask()
         seeds = (2 * np.flatnonzero(seed_flags) + 1).tolist()
         rough_composite = seed_free_odd_mask(first, (hi - 3) // 2, seeds)
-        flags = table.odd_prime_mask()[first : first + rough_composite.size]
-        np.greater(rough_composite, flags, out=rough_composite)  # and not prime
-        if rough_composite.any():
-            primes = table.ordered_primes
+        partners = flags[first : first + rough_composite.size]
+        np.greater(rough_composite, partners, out=rough_composite)  # and not prime
+        if rough_composite.any():  # odd primes p1 < E/2 paired with a band flag
             for E in range(lo, hi + 1, 2):
-                p1 = primes[1 : np.searchsorted(primes, E // 2)]
-                violations.extend((E, p) for p in p1[rough_composite[(E - p1) // 2 - first]].tolist())
+                k = _paired(flags, rough_composite, E // 2 - 1 - first, 1, E // 4)
+                violations.extend((E, p) for p in (2 * k + 1).tolist())
         lo = hi + 2  # primorials are even; an odd hi is upper, which ends the loop
     return violations
 
@@ -196,8 +203,8 @@ class GoldbachSolution:
     note: str = ""
 
 
-# Primes the solver reads per step: the least Goldbach prime stays below 10^4
-# up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83 (2014)).
+# Odd indexes the solver reads per step: the least Goldbach prime stays below
+# 10^4 up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83 (2014)).
 _SOLVE_BLOCK = 64
 
 
@@ -207,13 +214,12 @@ def goldbach_solve(E: int) -> GoldbachSolution:
     table = primes_up_to(E)
     if table.is_prime(E // 2):
         return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
-    # the least p1 passing the mismatch filter, one block of odd primes at a time
+    # the least p1 passing the mismatch filter, one block of odd indexes at a time
     max_seed = max_seed_prime_for(E)
-    primes = table.ordered_primes
-    end = int(np.searchsorted(primes, E // 2))
-    blocks = (primes[i : min(i + _SOLVE_BLOCK, end)] for i in range(1, end, _SOLVE_BLOCK))
-    passing = (p1[_mismatched(E, p1, table, max_seed)] for p1 in blocks)
-    p1 = next((int(p[0]) for p in passing if p.size), None)
+    flags, end = table.odd_prime_mask(), _mismatch_end(E, max_seed)
+    blocks = (_paired(flags, flags, E // 2 - 1, lo, min(lo + _SOLVE_BLOCK, end))
+              for lo in range(1, end, _SOLVE_BLOCK))
+    p1 = next((2 * int(k[0]) + 1 for k in blocks if k.size), None)
     if p1 is not None and p1 <= max_seed:  # the seeds are the primes up to the max seed
         return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2a")
     note = ""

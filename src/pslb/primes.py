@@ -172,7 +172,6 @@ class PrimeTable:
             _odd_flags = sieve_odd_flags(limit)
         self._odd = _read_only(_odd_flags)
         self._primes: np.ndarray | None = None
-        self._parent: PrimeTable | None = None  # set on views, whose primes are cut from it
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
@@ -187,11 +186,7 @@ class PrimeTable:
     @property
     def ordered_primes(self) -> np.ndarray:
         if self._primes is None:
-            if self._parent is not None:
-                primes = self._parent.ordered_primes
-                self._primes = primes[: np.searchsorted(primes, self.limit, side="right")]
-            else:
-                self._primes = _read_only(np.concatenate([[2], 2 * np.flatnonzero(self._odd) + 1]))
+            self._primes = _read_only(np.concatenate([[2], 2 * np.flatnonzero(self._odd) + 1]))
         return self._primes
 
     @property
@@ -220,13 +215,6 @@ class PrimeTable:
         for lo, window in _prime_windows(limit):
             bits[lo // 8 : (lo + window.size + 7) // 8] = np.packbits(window)
         return _PackedTable(limit, bits)
-
-    def _view(self, limit: int) -> "PrimeTable":
-        """The table up to limit <= self.limit, as slices of this one's arrays;
-        its prime array is cut from this one's only when first asked for."""
-        view = PrimeTable(limit, _odd_flags=self._odd[: (limit + 1) // 2])
-        view._parent = self
-        return view
 
     # -- cache file ----------------------------------------------------------
 
@@ -295,7 +283,6 @@ class _PackedTable(PrimeTable):
         self.limit = limit
         self._bits = _read_only(bits)
         self._primes = None
-        self._parent = None
 
     @cached_property
     def _odd(self) -> np.ndarray:
@@ -340,10 +327,12 @@ def _shared_table(limit: int) -> PrimeTable:
 
 @lru_cache(maxsize=32)
 def primes_up_to(limit: int) -> PrimeTable:
-    """All primes up to limit (inclusive): a read-only view of the shared table."""
+    """All primes up to limit (inclusive): a table over a read-only slice of
+    the shared table's odd flags, whose prime array, if asked for, is built
+    from that slice alone."""
     if limit < 2:
         raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
-    return _shared_table(limit)._view(limit)
+    return PrimeTable(limit, _shared_table(limit).odd_prime_mask()[: (limit + 1) // 2])
 
 
 def prev_prime(n: int) -> int:

@@ -304,6 +304,13 @@ def test_solver_golden_pin_to_20000():
         "dc0ea24f7970ca74bfccb07ff9d5b14f487eb4003f3a2e89a01cc7be36a036ba")
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_solver_rows_do_not_depend_on_the_block_width(monkeypatch, block):
+    default = [solution_row(E) for E in range(6, 3001, 2)]
+    monkeypatch.setattr(goldbach, "_SOLVE_BLOCK", block)
+    assert [solution_row(E) for E in range(6, 3001, 2)] == default
+
+
 def test_solver_falls_back_only_at_8():
     assert solution_row(8) == (
         "(8, 'case-2b', 3, 5, 6, 2, 3, True, "
@@ -338,3 +345,26 @@ def test_solver_and_filter_read_the_table_without_sieving(monkeypatch):
     assert (sol.case, sol.pair.p1, sol.pair.p2) == ("case-2a", 7, 999_983)
     # an array of the 41,537 odd primes below E/2 alone takes 330 KB
     assert peak < 16_384
+
+
+def test_small_reads_after_a_large_table_build_no_prime_array(monkeypatch):
+    # a fresh shared table at 10^7, whose own prime array (5.3 MB) is never built
+    monkeypatch.setattr(primes, "_table", None)
+    primes_up_to.cache_clear()
+    try:
+        primes_up_to(10**7)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: goldbach_solve(999_990)) < 16_384
+        assert peak(lambda: mismatch_filter(999_990)) < 2**20
+        assert peak(lambda: primes_up_to(1000).ordered_primes) < 16_384
+        assert primes._table._primes is None
+    finally:
+        primes_up_to.cache_clear()

@@ -460,12 +460,15 @@ def test_prime_mask_builds_no_prime_array():
     assert table._primes is None
 
 
-def test_views_cut_their_primes_only_when_asked():
+def test_views_build_their_primes_from_their_own_flags():
     with empty_shared_table():
         view = primes_up_to(1000)
         view.prime_mask(), view.prime_count
-        assert view._primes is None and primes._table._primes is None
-        assert view.ordered_primes.base is primes._table.ordered_primes
+        assert view._primes is None
+        assert np.array_equal(view.ordered_primes, PrimeTable(1000).ordered_primes)
+        with pytest.raises(ValueError):
+            view.ordered_primes[0] = 4
+        assert primes._table._primes is None
 
 
 def test_cache_header_layout(tmp_path):
