@@ -234,9 +234,11 @@ def _audit_t6(cfg) -> ClaimReport:
     rows = scaffold.build_table17(cfg["t6_rows"])
     rep = ClaimReport("T6", f"table-17 scaffold rows 1..{cfg['t6_rows']}", PASS)
     for row in rows:
-        # q - 2 over the odd primes up to P_b, and over the cycle primes P_s..P_b
-        odd_to_pz = primes_up_to(row.P_b).ordered_primes[1:] - 2
-        cycle_qs = odd_to_pz[np.searchsorted(odd_to_pz, row.P_s - 2):]
+        # q - 2 over the odd primes up to P_b, and over the cycle primes P_s..P_b,
+        # read off the prefix table that build_table17 has just built
+        table, i, j = scaffold._prime_span(row.P_s, row.P_b)
+        odd_to_pz = table.primes[1:j] - 2
+        cycle_qs = odd_to_pz[i - 1:]
         if row.index <= 6:
             t_n = math.prod(odd_to_pz.tolist())
             stacked = row.T_A * math.prod(cycle_qs.tolist())

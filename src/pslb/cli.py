@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import astuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -308,8 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import; parse_args returns a fresh
+    # Namespace each call, so repeated calls share no state
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "cache":
         if args.action == "build":
@@ -325,6 +333,8 @@ def main(argv=None) -> int:
             args.sieve_budget = _parse_int(ENV_SIEVE_BUDGET, env) if env else DEFAULT_FACTOR_BUDGET
         if args.precision < 0:
             raise DomainError(f"--precision must be >= 0, got {args.precision}")
+        # every double's decimal expansion ends by 2**-1074, so more digits print the same
+        args.precision = min(args.precision, 1074)
         data = args.handler(args)
         _emit(render(data, args.format, args.precision), args.out)
     except BudgetError as exc:

@@ -3,12 +3,14 @@ import contextlib
 import csv
 import io
 import json
+import time
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslb import cli
 from pslb.cli import main
 
 
@@ -256,6 +258,16 @@ def test_negative_precision_exits_1(capsys):
     assert "precision" in err
 
 
+@pytest.mark.parametrize("precision", [str(2_000_000_000), str(10**30)])
+def test_huge_precision_prints_as_1074(capsys, precision):
+    _, expected, _ = run(capsys, "--precision", "1074", "table", "17")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--precision", precision, "table", "17")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == expected
+
+
 def test_cache_verify_flipped_body_byte(capsys, tmp_path):
     path = tmp_path / "cache.sieve"
     code, _, _ = run(capsys, "cache", "build", "--limit", "1000", "--out-path", str(path))
@@ -362,7 +374,9 @@ def test_cache_build_into_missing_directory_exits_1(capsys, tmp_path):
 
 
 FUZZ_INTS = st.sampled_from([-1, 0, 1, 2, 5, 30, 31, 2310, 30030, 510511, 10**17, 2**64]).map(str)
-FUZZ_ARGV = st.one_of(
+FUZZ_PRECISION = st.sampled_from([None, -1, 0, 17, 1074, 10**9, 10**30]).map(
+    lambda p: [] if p is None else ["--precision", str(p)])
+FUZZ_COMMAND = st.one_of(
     st.tuples(st.sampled_from(["table", "figure", "signature"]), FUZZ_INTS).map(list),
     st.tuples(st.just("goldbach"), FUZZ_INTS,
               st.sampled_from([[], ["--filter"], ["--potential-count"]]))
@@ -372,6 +386,7 @@ FUZZ_ARGV = st.one_of(
     st.tuples(FUZZ_INTS, st.sampled_from(["2,3,5", "2,x", ",", "7,,11", "-3"]))
       .map(lambda t: ["signature", t[0], "--seeds", t[1]]),
 )
+FUZZ_ARGV = st.tuples(FUZZ_PRECISION, FUZZ_COMMAND).map(lambda t: t[0] + t[1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,3 +398,69 @@ def test_argv_fuzz_exits_0_1_or_2(argv):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for argv in [["table", "2"], ["--format", "json", "table", "1"], ["figure", "1"],
+                     ["scaffold", "two"], ["signature", "2291"], ["goldbach", "98"],
+                     ["twins", "--below", "100", "--count"], ["audit", "T1"],
+                     ["table", "99"], ["census", "--inner", "30", "--outer", "2310"]] * 2:
+            main(argv)
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_format_does_not_leak_between_calls(capsys):
+    _, out_json, _ = run(capsys, "--format", "json", "table", "2")
+    _, out_csv, _ = run(capsys, "table", "2")
+    assert json.loads(out_json)["columns"] == parse_csv(out_csv)[0]
+
+
+def test_out_does_not_leak_between_calls(capsys, tmp_path):
+    path = tmp_path / "t2.csv"
+    run(capsys, "--out", str(path), "table", "2")
+    code, out, _ = run(capsys, "table", "2")
+    assert code == 0
+    assert out == path.read_text()
+
+
+@pytest.mark.parametrize("env", [None, "30030"])
+def test_sieve_budget_does_not_leak_between_calls(capsys, monkeypatch, env):
+    if env is not None:
+        monkeypatch.setenv("PSLB_SIEVE_BUDGET", env)
+    code, _, _ = run(capsys, "--sieve-budget", "9699690", "census", "--inner", "2310",
+                     "--outer", "30030")
+    assert code == 0
+    code, out, err = run(capsys, "census", "--inner", "2310", "--outer", "9699690")
+    assert code == 2
+    assert out == ""
+    assert f"exceeds factor-sieve budget {env or 510510}" in err
+
+
+def test_usage_error_does_not_leak_into_the_next_call(capsys):
+    _, expected, _ = run(capsys, "table", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "build", "--limit", "10"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "table", "2")[:2] == (0, expected)
+
+
+def test_strict_does_not_leak_between_calls(capsys):
+    assert run(capsys, "audit", "T1", "--strict")[0] == 0
+    assert run(capsys, "audit", "T1")[0] == 0
