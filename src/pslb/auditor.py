@@ -22,6 +22,9 @@ CLAIM_IDS = [
     "L6.1", "L6.2", "L6.3", "T7", "T8", "T9", "FN14", "FN15", "P5", "P6",
 ]
 
+# primes per block when T6 sums logs over a scaffold span
+_T6_BLOCK = 1 << 15
+
 PASS = "pass"
 FAIL = "fail"
 PASS_WITH_CAVEAT = "pass-with-caveat"
@@ -81,7 +84,7 @@ def _audit_t1(cfg) -> ClaimReport:
     seeds = seed_prime_set(prim).all_seeds
     # One column per seed, in the smallest dtype that holds a residue: the
     # sorted copy of the matrix has its width, so that width sets T1's memory.
-    z = np.arange(1, limit + 1)
+    z = np.arange(1, limit + 1, dtype=np.min_scalar_type(limit))
     residues = np.empty((limit, len(seeds)), dtype=np.min_scalar_type(max(seeds) - 1))
     for col, q in enumerate(seeds):
         residues[:, col] = z % q
@@ -228,6 +231,13 @@ def _audit_t5(cfg) -> ClaimReport:
     return rep.finish()
 
 
+def _sum_log_q_minus_2(primes: np.ndarray, i: int, j: int) -> float:
+    """Sum of log(q - 2) over primes[i:j]: NumPy sums each block pairwise,
+    and the few block sums are added with math.fsum."""
+    return math.fsum(float(np.log(primes[b:min(b + _T6_BLOCK, j)] - 2.0).sum())
+                     for b in range(i, j, _T6_BLOCK))
+
+
 def _audit_t6(cfg) -> ClaimReport:
     # The stacking identity: the solution count of the larger primorial N
     # equals the smaller one's count times (q - 2) over the cycle primes.
@@ -237,18 +247,17 @@ def _audit_t6(cfg) -> ClaimReport:
         # q - 2 over the odd primes up to P_b, and over the cycle primes P_s..P_b,
         # read off the prefix table that build_table17 has just built
         table, i, j = scaffold._prime_span(row.P_s, row.P_b)
-        odd_to_pz = table.primes[1:j] - 2
-        cycle_qs = odd_to_pz[i - 1:]
         if row.index <= 6:
-            t_n = math.prod(odd_to_pz.tolist())
-            stacked = row.T_A * math.prod(cycle_qs.tolist())
+            odd_to_pz = (table.primes[1:j] - 2).tolist()
+            t_n = math.prod(odd_to_pz)
+            stacked = row.T_A * math.prod(odd_to_pz[i - 1:])
             if stacked != t_n:
                 rep.counterexamples.append(f"row {row.index}: {stacked} != {t_n}")
             else:
                 rep.witnesses.append(f"row {row.index}: T stacks exactly through {row.P_b}")
         else:
-            lhs = math.log(row.T_A) + math.fsum(np.log(cycle_qs.astype(float)))
-            rhs = math.fsum(np.log(odd_to_pz.astype(float)))
+            lhs = math.log(row.T_A) + _sum_log_q_minus_2(table.primes, i, j)
+            rhs = _sum_log_q_minus_2(table.primes, 1, j)
             if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
                 rep.counterexamples.append(f"row {row.index}: log identity off by {abs(lhs-rhs)}")
     rep.note = "rows past 6 are compared in log space to 1e-10 relative tolerance"

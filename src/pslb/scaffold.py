@@ -10,13 +10,18 @@ from functools import lru_cache
 import numpy as np
 
 from .census import potential_solutions_T
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, max_seed_prime_for, next_prime,
                      nth_primorial, primes_up_to)
 
 # the least table the scaffold asks for: it covers 2,724,109, the largest row
 # bound, so every table row reads one prefix
 PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000
+# primes per block of log1p terms while the prefix is built
+_PREFIX_BLOCK = 1 << 15
+# product_factor_fraction normalises a Fraction per prime, so its cost grows
+# with the square of the span; past this many primes it raises BudgetError
+_FRACTION_MAX_PRIMES = 10_000
 
 @dataclass(frozen=True)
 class _LogPrefix:
@@ -44,20 +49,29 @@ class _LogPrefix:
 
 @lru_cache(maxsize=1)
 def _build_log_prefix(limit: int) -> _LogPrefix:
-    """The prefix over the primes up to limit."""
+    """The prefix over the primes up to limit.
+
+    The limbs are filled one block of primes at a time and then prefix-summed
+    in place, so the build holds the two limb arrays and one block of terms.
+    """
     primes = primes_up_to(limit).ordered_primes
-    odd = primes[1:]
-    terms = np.fromiter(map(math.log1p, memoryview(-2.0 / odd)), dtype=np.float64, count=len(odd))
-    shift = 53 - math.frexp(float(terms[-1]))[1]
-    scaled = np.ldexp(-terms, shift - 32)
-    high = np.floor(scaled)
-    low = np.ldexp(scaled - high, 32)
-    zeros = np.zeros(2, dtype=np.int64)
-    return _LogPrefix(
-        primes, shift,
-        np.concatenate([zeros, np.cumsum(high.astype(np.int64))]),
-        np.concatenate([zeros, np.cumsum(low.astype(np.int64))]),
-    )
+    # the term smallest in magnitude is the largest prime's; it fixes the ulp
+    shift = 53 - math.frexp(math.log1p(-2.0 / float(primes[-1])))[1]
+    high = np.zeros(len(primes) + 1, dtype=np.int64)
+    low = np.zeros(len(primes) + 1, dtype=np.int64)
+    for b in range(1, len(primes), _PREFIX_BLOCK):
+        block = primes[b:b + _PREFIX_BLOCK]
+        terms = np.fromiter(map(math.log1p, memoryview(-2.0 / block)), dtype=np.float64, count=len(block))
+        scaled = np.ldexp(-terms, shift - 32)
+        top = np.floor(scaled)
+        scaled -= top
+        # term k of the block is prime b + k, which prefix entry b + k + 1 includes
+        rows = slice(b + 1, b + 1 + len(block))
+        high[rows] = top
+        low[rows] = np.ldexp(scaled, 32)
+    np.cumsum(high, out=high)
+    np.cumsum(low, out=low)
+    return _LogPrefix(primes, shift, high, low)
 
 
 def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
@@ -92,8 +106,14 @@ def product_factor(from_prime: int, to_prime: int) -> float:
 
 
 def product_factor_fraction(from_prime: int, to_prime: int) -> Fraction:
-    """Exact rational product factor; for audit use on short prime ranges."""
+    """Exact rational product factor; for audit use on short prime ranges.
+
+    Raises BudgetError when the range holds more than 10,000 primes.
+    """
     table, i, j = _prime_span(from_prime, to_prime)
+    if j - i > _FRACTION_MAX_PRIMES:
+        raise BudgetError(f"{j - i} primes in [{from_prime}, {to_prime}] exceed the exact "
+                          f"product budget of {_FRACTION_MAX_PRIMES}")
     out = Fraction(1)
     for q in table.primes[i:j].tolist():
         out *= Fraction(q - 2, q)

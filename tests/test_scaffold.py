@@ -1,16 +1,21 @@
 """Product factors and scaffold tables against exact oracles and the
 reference printed values."""
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslb.errors import BudgetError, DomainError
+from pslb import scaffold
 from pslb.primes import next_prime, prev_prime, primes_up_to
 from pslb.scaffold import (
     PRODUCT_FACTOR_PRIME_LIMIT,
+    _build_log_prefix,
     _prime_span,
     avg_solutions_in_cycle,
     build_table17,
@@ -110,6 +115,55 @@ def test_product_factor_from_two_is_zero(hi):
 def test_product_factor_bound_over_budget(fn):
     with pytest.raises(BudgetError):
         fn(3, 100_000_007)
+
+
+def test_product_factor_fraction_bound_at_ten_thousand_primes():
+    odd = primes_up_to(200_000).ordered_primes[1:]
+    assert odd[9_999] == 104_743 and odd[10_000] == 104_759
+    assert math.isclose(product_factor_fraction(3, 104_743), product_factor(3, 104_743), rel_tol=1e-12)
+    _prime_span(3, 104_759)  # the prefix table is built before the raise is timed
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        product_factor_fraction(3, 104_759)
+    assert time.perf_counter() - start < 0.1
+
+
+def whole_array_log_prefix(limit):
+    """The prefix limbs built from whole arrays of terms at once."""
+    primes = primes_up_to(limit).ordered_primes
+    odd = primes[1:]
+    terms = np.fromiter(map(math.log1p, memoryview(-2.0 / odd)), dtype=np.float64, count=len(odd))
+    shift = 53 - math.frexp(float(terms[-1]))[1]
+    scaled = np.ldexp(-terms, shift - 32)
+    high = np.floor(scaled)
+    low = np.ldexp(scaled - high, 32)
+    zeros = np.zeros(2, dtype=np.int64)
+    return (primes, shift, np.concatenate([zeros, np.cumsum(high.astype(np.int64))]),
+            np.concatenate([zeros, np.cumsum(low.astype(np.int64))]))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("limit", [1000, 30030])
+def test_blocked_log_prefix_equals_whole_array_build(monkeypatch, block, limit):
+    monkeypatch.setattr(scaffold, "_PREFIX_BLOCK", block)
+    table = _build_log_prefix.__wrapped__(limit)  # the cached table is left alone
+    primes, shift, high, low = whole_array_log_prefix(limit)
+    assert table.shift == shift
+    for got, want in ((table.primes, primes), (table.high, high), (table.low, low)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_log_prefix_build_peak_at_table_limit():
+    primes_up_to(PRODUCT_FACTOR_PRIME_LIMIT)
+    tracemalloc.start()
+    try:
+        _build_log_prefix.__wrapped__(PRODUCT_FACTOR_PRIME_LIMIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the prime array and the two limb arrays keep 4.8 MB; a build from whole
+    # arrays of terms peaked at 12.4 MB
+    assert peak < 7 * 2**20
 
 
 def test_avg_and_rounding():
