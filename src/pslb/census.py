@@ -213,16 +213,9 @@ class Figure1Window:
 
 
 def _window_counts(mask: np.ndarray, width: int) -> np.ndarray:
-    """True entries per window of `width`, the last window possibly shorter.
-
-    The full windows are summed as rows of a reshaped view, which reduces
-    the bool mask in buffered chunks instead of casting all of it first.
-    """
-    full = len(mask) - len(mask) % width
-    counts = mask[:full].reshape(-1, width).sum(axis=1)
-    if full < len(mask):
-        counts = np.append(counts, np.count_nonzero(mask[full:]))
-    return counts
+    """True entries per window of `width`, the last window possibly shorter."""
+    return np.array([np.count_nonzero(mask[i : i + width]) for i in range(0, len(mask), width)],
+                    dtype=np.int64)
 
 
 def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Figure1Window]:

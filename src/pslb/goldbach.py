@@ -203,33 +203,31 @@ class GoldbachSolution:
     note: str = ""
 
 
-# Odd indexes the solver reads per step: the least Goldbach prime stays below
-# 10^4 up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83 (2014)).
-_SOLVE_BLOCK = 64
-
-
 def goldbach_solve(E: int) -> GoldbachSolution:
-    """Produce one pair for E and report which solution case found it."""
+    """Produce one pair for E and report which solution case found it.
+
+    The pair is the least Goldbach pair: p1 = 2k + 1 walks up the table's odd
+    flags from 3, a short scan since the least Goldbach prime stays below
+    10^4 up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83 (2014)).
+    The mismatch filter holds exactly the pairs with k below _mismatch_end, so
+    the least pair passed it exactly when its k does, and is then its least.
+    """
     _check_even(E)
     table = primes_up_to(E)
     if table.is_prime(E // 2):
         return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
-    # the least p1 passing the mismatch filter, one block of odd indexes at a time
-    max_seed = max_seed_prime_for(E)
-    flags, end = table.odd_prime_mask(), _mismatch_end(E, max_seed)
-    blocks = (_paired(flags, flags, E // 2 - 1, lo, min(lo + _SOLVE_BLOCK, end))
-              for lo in range(1, end, _SOLVE_BLOCK))
-    p1 = next((2 * int(k[0]) + 1 for k in blocks if k.size), None)
-    if p1 is not None and p1 <= max_seed:  # the seeds are the primes up to the max seed
+    flags, h = table.odd_prime_mask(), E // 2 - 1  # h - k is the odd index of E - p1
+    for k in range(1, (E + 2) // 4):
+        if flags[k] and flags[h - k]:
+            break
+    else:
+        raise AssertionError(f"no Goldbach pair found for {E}: conjecture counterexample candidate")
+    p1, max_seed = 2 * k + 1, max_seed_prime_for(E)
+    filtered = k < _mismatch_end(E, max_seed)
+    if filtered and p1 <= max_seed:  # the seeds are the primes up to the max seed
         return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2a")
-    note = ""
-    if p1 is None:
-        # The mismatch filter came up empty; fall back to direct enumeration
-        # and flag the divergence rather than hiding it.
-        pairs = goldbach_pairs(E)
-        if not pairs:
-            raise AssertionError(f"no Goldbach pair found for {E}: conjecture counterexample candidate")
-        p1, note = pairs[0].p1, "mismatch filter empty; pair found by direct enumeration"
+    # the divergence of an empty filter is flagged rather than hidden
+    note = "" if filtered else "mismatch filter empty; pair found by direct enumeration"
     # Scaffold existence path, anchored at the largest primorial <= E.
     A = largest_primorial_at_most(E)
     P_B = max_seed_prime_for(A.value)

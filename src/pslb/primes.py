@@ -37,13 +37,19 @@ DEFAULT_PRIMALITY_BUDGET = 100_000_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic trial-division primality test.
+
+    Its divisors run to sqrt(n), so past the square of the primality budget
+    it raises BudgetError instead of running for hours.
+    """
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0 or n % 3 == 0:
         return False
+    if n > DEFAULT_PRIMALITY_BUDGET ** 2:
+        raise BudgetError(f"trial division of {n} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
     f = 5
     while f * f <= n:
         if n % f == 0 or n % (f + 2) == 0:

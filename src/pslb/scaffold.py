@@ -11,8 +11,8 @@ import numpy as np
 
 from .census import potential_solutions_T
 from .errors import BudgetError, DomainError
-from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, max_seed_prime_for, next_prime,
-                     nth_primorial, primes_up_to)
+from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, PrimeTable, max_seed_prime_for,
+                     next_prime, nth_primorial, primes_up_to)
 
 # the least table the scaffold asks for: it covers 2,724,109, the largest row
 # bound, so every table row reads one prefix
@@ -74,22 +74,31 @@ def _build_log_prefix(limit: int) -> _LogPrefix:
     return _LogPrefix(primes, shift, high, low)
 
 
+def _span_table(from_prime: int, to_prime: int, limit: int) -> PrimeTable:
+    """primes_up_to(limit) for limit >= to_prime, once from_prime <= to_prime
+    are both checked prime; DomainError otherwise."""
+    if from_prime > to_prime:
+        raise DomainError(f"need from_prime <= to_prime, got ({from_prime}, {to_prime})")
+    table = primes_up_to(max(limit, 2))
+    if not (table.is_prime(from_prime) and table.is_prime(to_prime)):
+        raise DomainError(f"bounds must be prime, got ({from_prime}, {to_prime})")
+    return table
+
+
 def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
     """The prefix table and the index range of the primes in [from_prime, to_prime].
 
     The prefix covers PRODUCT_FACTOR_PRIME_LIMIT doubled as often as to_prime
     needs (at most to the primality budget), so its size depends on to_prime
-    alone, not on how far the shared prime table has grown.
+    alone, not on how far the shared prime table has grown. The bounds are
+    checked on the table the prefix reads, before the prefix is built.
     """
-    if from_prime > to_prime:
-        raise DomainError(f"need from_prime <= to_prime, got ({from_prime}, {to_prime})")
     doublings = (max(to_prime - 1, 0) // PRODUCT_FACTOR_PRIME_LIMIT).bit_length()
     limit = max(to_prime, min(PRODUCT_FACTOR_PRIME_LIMIT << doublings, DEFAULT_PRIMALITY_BUDGET))
+    _span_table(from_prime, to_prime, limit)
     table = _build_log_prefix(limit)
     i = int(np.searchsorted(table.primes, from_prime, side="left"))
     j = int(np.searchsorted(table.primes, to_prime, side="right"))
-    if i == j or table.primes[i] != from_prime or table.primes[j - 1] != to_prime:
-        raise DomainError(f"bounds must be prime, got ({from_prime}, {to_prime})")
     return table, i, j
 
 
@@ -108,14 +117,18 @@ def product_factor(from_prime: int, to_prime: int) -> float:
 def product_factor_fraction(from_prime: int, to_prime: int) -> Fraction:
     """Exact rational product factor; for audit use on short prime ranges.
 
-    Raises BudgetError when the range holds more than 10,000 primes.
+    The primes are read off the table's odd flags and counted before any
+    product is taken: BudgetError when the range holds more than 10,000.
     """
-    table, i, j = _prime_span(from_prime, to_prime)
-    if j - i > _FRACTION_MAX_PRIMES:
-        raise BudgetError(f"{j - i} primes in [{from_prime}, {to_prime}] exceed the exact "
+    span = _span_table(from_prime, to_prime, to_prime).odd_prime_mask()[from_prime // 2 :]
+    count = int(np.count_nonzero(span)) + (from_prime == 2)
+    if count > _FRACTION_MAX_PRIMES:
+        raise BudgetError(f"{count} primes in [{from_prime}, {to_prime}] exceed the exact "
                           f"product budget of {_FRACTION_MAX_PRIMES}")
+    if from_prime == 2:
+        return Fraction(0)
     out = Fraction(1)
-    for q in table.primes[i:j].tolist():
+    for q in (2 * (np.flatnonzero(span) + from_prime // 2) + 1).tolist():
         out *= Fraction(q - 2, q)
     return out
 

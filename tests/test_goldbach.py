@@ -304,10 +304,25 @@ def test_solver_golden_pin_to_20000():
         "dc0ea24f7970ca74bfccb07ff9d5b14f487eb4003f3a2e89a01cc7be36a036ba")
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_solver_rows_do_not_depend_on_the_block_width(monkeypatch, block):
-    default = [solution_row(E) for E in range(6, 3001, 2)]
-    monkeypatch.setattr(goldbach, "_SOLVE_BLOCK", block)
+def test_solver_takes_the_least_pair_and_classifies_it_by_the_filter():
+    table = primes_up_to(20_000)
+    for E in range(6, 20_001, 2):
+        if table.is_prime(E // 2):
+            continue
+        sol, filtered = goldbach_solve(E), mismatch_filter(E)
+        assert sol.pair.p1 == goldbach_pairs(E)[0].p1, E
+        assert bool(sol.note) == (filtered == []), E
+        assert (sol.case == "case-2a") == (filtered != [] and sol.pair.p1 <= max_seed_prime_for(E)), E
+
+
+def test_solver_never_lists_the_pairs(monkeypatch):
+    row_8, default = solution_row(8), [solution_row(E) for E in range(6, 3001, 2)]
+
+    def no_pairs(E):
+        raise AssertionError("goldbach_pairs called")
+
+    monkeypatch.setattr(goldbach, "goldbach_pairs", no_pairs)
+    assert solution_row(8) == row_8
     assert [solution_row(E) for E in range(6, 3001, 2)] == default
 
 

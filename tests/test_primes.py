@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 import zlib
@@ -41,6 +42,14 @@ def brute_is_prime(n: int) -> bool:
 def test_trial_division_matches_brute_force():
     for n in range(500):
         assert is_prime(n) == brute_is_prime(n), n
+
+
+def test_trial_division_past_the_squared_budget_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        is_prime(10**16 + 1)
+    assert time.perf_counter() - start < 0.1
+    assert is_prime(10**16) is False
 
 
 def test_sieve_matches_trial_division_to_1e5():

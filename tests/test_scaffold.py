@@ -128,6 +128,18 @@ def test_product_factor_fraction_bound_at_ten_thousand_primes():
     assert time.perf_counter() - start < 0.1
 
 
+def test_product_factor_fraction_reads_the_flags_not_the_prefix(monkeypatch):
+    def no_prefix(limit):
+        raise AssertionError("log prefix built")
+
+    monkeypatch.setattr(scaffold, "_build_log_prefix", no_prefix)
+    assert product_factor_fraction(11, 13) == Fraction(9, 13)
+    with pytest.raises(BudgetError):
+        product_factor_fraction(3, 2_000_003)
+    with pytest.raises(DomainError):
+        product_factor(4, 13)
+
+
 def whole_array_log_prefix(limit):
     """The prefix limbs built from whole arrays of terms at once."""
     primes = primes_up_to(limit).ordered_primes
