@@ -315,6 +315,26 @@ def test_solver_takes_the_least_pair_and_classifies_it_by_the_filter():
         assert (sol.case == "case-2a") == (filtered != [] and sol.pair.p1 <= max_seed_prime_for(E)), E
 
 
+def blocked_least_k(E, block):
+    # odd index of the least Goldbach p1, found by _paired blocks `block` indexes wide
+    flags, h, end = primes_up_to(E).odd_prime_mask(), E // 2 - 1, (E + 2) // 4
+    for lo in range(1, end, block):
+        ks = goldbach._paired(flags, flags, h, lo, min(lo + block, end))
+        if ks.size:
+            return int(ks[0])
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_solver_rows_do_not_depend_on_the_block_width(block):
+    table = primes_up_to(3000)
+    for E in range(6, 3001, 2):
+        if table.is_prime(E // 2):
+            continue
+        k, sol = blocked_least_k(E, block), goldbach_solve(E)
+        assert sol.pair.p1 == 2 * k + 1, E
+        assert (sol.note == "") == (k < goldbach._mismatch_end(E, max_seed_prime_for(E))), E
+
+
 def test_solver_never_lists_the_pairs(monkeypatch):
     row_8, default = solution_row(8), [solution_row(E) for E in range(6, 3001, 2)]
 
