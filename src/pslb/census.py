@@ -9,10 +9,19 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .primes import Primorial, max_seed_prime_for, primes_up_to
-from .signatures import potential_prime_mask, potential_twin_mask
+from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, _clear_classes, _prime_windows,
+                     _seed_classes, max_seed_prime_for, primes_up_to)
+from .signatures import potential_twin_mask
 
 DEFAULT_FACTOR_BUDGET = 510_510
+# The census sieves its own windows, so no prime table bounds it: 19# in 23#
+# takes 0.5 s, each primorial past it multiplies that by its new prime, and
+# 2^17 cycles of rows hold about 100 MB.
+CENSUS_CEILING = 223_092_870  # 23#
+_MAX_CYCLES = 1 << 17
+# Flags per counted piece of a sieve window: np.add.reduceat casts the four
+# piece masks to uint16 (a count per piece fits), 256 KB, beside the window.
+_PIECE = 1 << 15
 
 
 def totient_of_primorial(p: Primorial) -> int:
@@ -45,43 +54,68 @@ class NewCompositeSet:
         return int(self.members[0]) if len(self.members) else None
 
 
-def _odd_prime_flags(p: Primorial, budget: int) -> np.ndarray:
-    """The prime table's odd flags up to p.value; BudgetError past the budget."""
+def _census_fold(p: Primorial, width: int, budget: int,
+                 members: np.ndarray | None = None) -> np.ndarray:
+    """Counts of the potential primes, potential twins, true twins and new
+    composites (rows 0-3) per segment of `width` odd flags up to p.value, the
+    last possibly shorter, from one pass over the prime sieve's windows read in
+    pieces; with `members`, the new composites are also written into it in
+    order. BudgetError past the budget or the census ceiling.
+
+    A new composite is a potential prime (no core factor) that is neither
+    prime nor 1. A twin anchor o2 >= 5 is potential when o2 - 2 and o2 are, and
+    true when both are prime, so each piece hands its last flags to the next.
+    """
     if p.value > budget:
         raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
-    return primes_up_to(p.value).odd_prime_mask()
-
-
-def _census_masks(p: Primorial, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prime flags, potential-prime mask, new-composite mask) over the odd
-    integers up to p.value, or BudgetError when p.value exceeds the budget.
-
-    A new composite is a potential prime (odd, no core factor) that is
-    neither prime nor 1.
-    """
-    flags = _odd_prime_flags(p, budget)
-    pp = potential_prime_mask(p.value, p.prime_factors)
-    new_comp = ~flags
-    new_comp &= pp
-    new_comp[:1] = False  # z = 1
-    return flags, pp, new_comp
+    if p.value > CENSUS_CEILING:
+        raise BudgetError(f"primorial {p.value} exceeds census ceiling {CENSUS_CEILING} (23#)")
+    counts = np.zeros((4, -(-(p.value // 2) // width)), dtype=np.int64)
+    classes, masks = _seed_classes(p.prime_factors), np.empty((4, _PIECE), dtype=bool)
+    last, found = (False, False), 0
+    for lo, window in _prime_windows(p.value):
+        potential = np.ones(window.size, dtype=bool)
+        _clear_classes(potential, lo, classes)
+        for a in range(0, window.size, _PIECE):
+            start, prime = lo + a, window[a : a + _PIECE]
+            pp, pt, tt, nc = piece = masks[:, : prime.size]
+            pp[:] = potential[a : a + _PIECE]
+            np.greater(pp, prime, out=nc)  # potential and not prime
+            np.logical_and(pp[1:], pp[:-1], out=pt[1:])
+            np.logical_and(prime[1:], prime[:-1], out=tt[1:])
+            pt[0], tt[0] = pp[0] & last[0], prime[0] & last[1]
+            tt &= pt
+            if start == 0:
+                nc[0] = pt[:2] = tt[:2] = False  # 1 is no composite; anchors start at 5
+            last = pp[-1], prime[-1]
+            s, edges = start // width, np.arange(-(start % width), prime.size, width)
+            edges[0] = 0  # the piece meets segments s, s + 1, ...; s began at or before it
+            counts[:, s : s + edges.size] += np.add.reduceat(piece, edges, axis=1, dtype=np.uint16)
+            if members is not None:
+                at = np.flatnonzero(nc) + start
+                members[found : found + at.size] = 2 * at + 1  # index i holds 2i + 1
+                found += at.size
+    return counts
 
 
 def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewCompositeSet:
     """Exact member set of composites generated first by non-core seeds.
 
     A member is an odd composite > 1 that no core seed prime divides; its
-    smallest factor is therefore a non-core seed prime.
+    smallest factor is therefore a non-core seed prime. BudgetError past the
+    primality budget, where the members would pass 100 MB.
     """
-    members = np.flatnonzero(_census_masks(p, budget)[2])
-    members *= 2
-    members += 1  # index i holds 2i + 1; in place, so one int64 array at the peak
+    if p.value > DEFAULT_PRIMALITY_BUDGET:
+        raise BudgetError(f"new composites of {p.value} exceed primality budget {DEFAULT_PRIMALITY_BUDGET}")
+    # room for every potential prime; the fold keeps no view of it, so it shrinks in place
+    members = np.empty(totient_of_primorial(p), dtype=np.int64)
+    members.resize(int(_census_fold(p, p.value, budget, members)[3, 0]), refcheck=False)
     return NewCompositeSet(p, members)
 
 
 def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:
     """Prime count below a primorial from core count, totient and new composites."""
-    n_b = int(np.count_nonzero(_census_masks(p, budget)[2]))
+    n_b = int(_census_fold(p, p.value, budget)[3, 0])
     return len(p.prime_factors) + totient_of_primorial(p) - 1 - n_b
 
 
@@ -171,34 +205,16 @@ def cycle_census(inner: Primorial, outer: Primorial,
     if outer.value % inner.value != 0:
         raise DomainError(f"{inner.value} does not divide {outer.value}")
     n_cycles = outer.value // inner.value
+    if n_cycles > _MAX_CYCLES:
+        raise BudgetError(f"{n_cycles} cycles exceed the census cap of {_MAX_CYCLES}")
     # one row per cycle of integers (c-1)*inner+1 .. c*inner: inner/2 odd flags;
-    # two masks are counted and dropped before the twin masks are built
-    width = inner.value // 2
-    flags, pp, new_comp = _census_masks(outer, budget)
-    pp_n, nc_n = _window_counts(pp, width), _window_counts(new_comp, width)
-    del pp, new_comp
-    pt, tt = twin_masks(outer.value, outer.prime_factors, flags)
     # every true-twin anchor is a potential one, so false twins are the difference
-    pt_n, tt_n = _window_counts(pt, width), _window_counts(tt, width)
+    pp_n, pt_n, tt_n, nc_n = _census_fold(outer, inner.value // 2, budget)
     per_cycle = np.stack([pp_n, pt_n, pt_n - tt_n, tt_n, nc_n], axis=1)
     cum = np.cumsum(per_cycle, axis=0)
-    return [
-        CensusCounts(
-            cycle_index=c + 1,
-            cycle_end=(c + 1) * inner.value,
-            cycle_length=inner.value,
-            potential_primes=int(per_cycle[c, 0]),
-            potential_twins=int(per_cycle[c, 1]),
-            false_twins=int(per_cycle[c, 2]),
-            true_twins=int(per_cycle[c, 3]),
-            cumulative_potential_primes=int(cum[c, 0]),
-            cumulative_potential_twins=int(cum[c, 1]),
-            cumulative_false_twins=int(cum[c, 2]),
-            cumulative_true_twins=int(cum[c, 3]),
-            new_composites_cumulative=int(cum[c, 4]),
-        )
-        for c in range(n_cycles)
-    ]
+    # a row's fields in order: the cycle, its four counts and the five running totals
+    return [CensusCounts(c + 1, (c + 1) * inner.value, inner.value, *row[:4], *total)
+            for c, (row, total) in enumerate(zip(per_cycle.tolist(), cum.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -212,21 +228,14 @@ class Figure1Window:
     cumulative_new_composites: int
 
 
-def _window_counts(mask: np.ndarray, width: int) -> np.ndarray:
-    """True entries per window of `width`, the last window possibly shorter."""
-    return np.array([np.count_nonzero(mask[i : i + width]) for i in range(0, len(mask), width)],
-                    dtype=np.int64)
-
-
 def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Figure1Window]:
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
-    pp, new_comp = _census_masks(p, budget)[1:]
     max_seed = max_seed_prime_for(p.value)  # a window's odd half is max_seed flags
+    counts = _census_fold(p, max_seed, budget)
     starts = np.arange(0, p.value, 2 * max_seed)
     ends = np.minimum(starts + 2 * max_seed, p.value)
-    potential = _window_counts(pp, max_seed)
-    cum = np.cumsum(_window_counts(new_comp, max_seed))
+    potential, cum = counts[0], np.cumsum(counts[3])
     return [
         Figure1Window(
             index=i + 1,
@@ -241,5 +250,4 @@ def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Fi
 
 def true_twin_count(limit_primorial: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:
     """True twins up to a primorial under its own core-seed conventions."""
-    rows = cycle_census(limit_primorial, limit_primorial, budget=budget)
-    return rows[-1].cumulative_true_twins
+    return int(_census_fold(limit_primorial, limit_primorial.value, budget)[2, 0])

@@ -21,6 +21,7 @@ from .census import DEFAULT_FACTOR_BUDGET
 from .errors import BudgetError, DomainError, PrimorialOverflowError
 from .primes import (
     PrimeTable,
+    primes_up_to,
     seed_prime_set,
     smallest_primorial_at_least,
 )
@@ -171,8 +172,9 @@ def _cmd_twins(args) -> tables.TableData:
     if limit < 5:
         raise DomainError(f"need --below >= 5, got {limit}")
     outer = smallest_primorial_at_least(limit)
-    odd_flags = census._odd_prime_flags(outer, args.sieve_budget)
-    pt, tt = census.twin_masks(limit, outer.prime_factors, odd_flags)
+    if outer.value > args.sieve_budget:
+        raise BudgetError(f"primorial {outer.value} exceeds factor-sieve budget {args.sieve_budget}")
+    pt, tt = census.twin_masks(limit, outer.prime_factors, primes_up_to(limit).odd_prime_mask())
     if args.count:
         return tables.TableData(
             0, f"true twin pairs with anchor <= {limit}",

@@ -54,7 +54,8 @@ def _build_log_prefix(limit: int) -> _LogPrefix:
     The limbs are filled one block of primes at a time and then prefix-summed
     in place, so the build holds the two limb arrays and one block of terms.
     """
-    primes = primes_up_to(limit).ordered_primes
+    # the prime array of a table of its own, so it lives only as long as the prefix
+    primes = PrimeTable(limit, primes_up_to(limit).odd_prime_mask()).ordered_primes
     # the term smallest in magnitude is the largest prime's; it fixes the ulp
     shift = 53 - math.frexp(math.log1p(-2.0 / float(primes[-1])))[1]
     high = np.zeros(len(primes) + 1, dtype=np.int64)
@@ -90,13 +91,16 @@ def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
 
     The prefix covers PRODUCT_FACTOR_PRIME_LIMIT doubled as often as to_prime
     needs (at most to the primality budget), so its size depends on to_prime
-    alone, not on how far the shared prime table has grown. The bounds are
-    checked on the table the prefix reads, before the prefix is built.
+    alone, not on how far the shared prime table has grown. Only the prefix
+    at PRODUCT_FACTOR_PRIME_LIMIT is cached; a longer one (132 MB at the
+    budget) is dropped with its caller. The bounds are checked on the table
+    the prefix reads, before the prefix is built.
     """
     doublings = (max(to_prime - 1, 0) // PRODUCT_FACTOR_PRIME_LIMIT).bit_length()
     limit = max(to_prime, min(PRODUCT_FACTOR_PRIME_LIMIT << doublings, DEFAULT_PRIMALITY_BUDGET))
     _span_table(from_prime, to_prime, limit)
-    table = _build_log_prefix(limit)
+    build = _build_log_prefix if limit == PRODUCT_FACTOR_PRIME_LIMIT else _build_log_prefix.__wrapped__
+    table = build(limit)
     i = int(np.searchsorted(table.primes, from_prime, side="left"))
     j = int(np.searchsorted(table.primes, to_prime, side="right"))
     return table, i, j

@@ -4,8 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pslb import census, primes
 from pslb.census import (
+    CENSUS_CEILING,
     cycle_census,
     figure1_series,
     new_composites,
@@ -18,7 +22,8 @@ from pslb.census import (
     twin_masks,
 )
 from pslb.errors import BudgetError, DomainError
-from pslb.primes import nth_primorial, primes_up_to, seed_prime_set
+from pslb.primes import max_seed_prime_for, nth_primorial, primes_up_to, seed_prime_set
+from pslb.signatures import potential_prime_mask
 
 
 def test_totients_match_reference_column():
@@ -298,3 +303,103 @@ def test_cycle_census_memory_per_integer():
     finally:
         tracemalloc.stop()
     assert peak < 4 * prim.value
+
+
+# -- the census fold against whole masks --------------------------------------
+
+
+def whole_array_counts(p, width):
+    """Per-segment counts of the potential primes, potential twins, true twins
+    and new composites of p, from whole masks over its odd integers."""
+    flags = primes_up_to(p.value).odd_prime_mask()
+    pp = potential_prime_mask(p.value, p.prime_factors)
+    nc = pp & ~flags
+    nc[0] = False  # 1
+    pt, tt = twin_masks(p.value, p.prime_factors, flags)
+    starts = np.arange(0, len(pp), width)
+    return [np.add.reduceat(m, starts, dtype=np.int64) for m in (pp, pt, tt, nc)], nc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fold_rows_equal_whole_masks(data):
+    # windows down to 8 flags and pieces down to 1 split cycles and put twin
+    # pairs across their edges; the floors keep a fold within 256 windows and
+    # 2,048 pieces, and the inner primorial within the cycle cap. A piece is
+    # at most _PIECE flags, so that its uint16 counts cannot wrap.
+    k_outer = data.draw(st.integers(1, 8), label="k_outer")
+    outer = nth_primorial(k_outer)
+    k_inner = data.draw(st.integers(1, k_outer).filter(
+        lambda k: outer.value // nth_primorial(k).value <= census._MAX_CYCLES), label="k_inner")
+    inner = nth_primorial(k_inner)
+    size = outer.value // 2
+    window = data.draw(st.integers(max(8, size // 256), max(8, size // 2)), label="window")
+    piece = data.draw(st.integers(max(1, size // 2048), min(2 * window, census._PIECE)),
+                      label="piece")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        mp.setattr(census, "_PIECE", piece)
+        rows = cycle_census(inner, outer, budget=outer.value)
+        members = new_composites(outer, budget=outer.value).members
+        figure = figure1_series(outer, budget=outer.value) if outer.value >= 4 else []
+    (pp, pt, tt, nc), nc_mask = whole_array_counts(outer, inner.value // 2)
+    assert [(r.potential_primes, r.potential_twins, r.false_twins, r.true_twins) for r in rows] == \
+        list(zip(pp.tolist(), pt.tolist(), (pt - tt).tolist(), tt.tolist()))
+    cum = [np.cumsum(c).tolist() for c in (pp, pt, pt - tt, tt, nc)]
+    assert [(r.cumulative_potential_primes, r.cumulative_potential_twins, r.cumulative_false_twins,
+             r.cumulative_true_twins, r.new_composites_cumulative) for r in rows] == list(zip(*cum))
+    assert members.dtype == np.int64
+    assert np.array_equal(members, 2 * np.flatnonzero(nc_mask) + 1)
+    if figure:
+        (pp, _, _, nc), _ = whole_array_counts(outer, max_seed_prime_for(outer.value))
+        assert [w.potential_primes for w in figure] == pp.tolist()
+        assert [w.cumulative_new_composites for w in figure] == np.cumsum(nc).tolist()
+
+
+def test_census_reads_no_shared_table(monkeypatch):
+    # the fold sieves its own windows; only figure 1's max seed reads the table
+    monkeypatch.setattr(primes, "_table", None)
+    primes_up_to.cache_clear()
+    try:
+        outer = nth_primorial(8)
+        cycle_census(nth_primorial(7), outer, budget=outer.value)
+        new_composites(outer, budget=outer.value)
+        figure1_series(outer, budget=outer.value)
+        prime_count_via_eq3(outer, budget=outer.value)
+        assert primes._table is None or primes._table.limit == primes._TABLE_FLOOR
+    finally:
+        primes_up_to.cache_clear()
+
+
+def test_census_bounds():
+    big = 10**12
+    p23, p29 = nth_primorial(9), nth_primorial(10)
+    assert CENSUS_CEILING == p23.value
+    for fn in (lambda: cycle_census(p23, p29, budget=big), lambda: figure1_series(p29, budget=big),
+               lambda: prime_count_via_eq3(p29, budget=big), lambda: true_twin_count(p29, budget=big)):
+        with pytest.raises(BudgetError, match="census ceiling"):
+            fn()
+    # 17# holds 255,255 cycles of 2#, past the cap; 19# holds 46,189 of 7#, within it
+    with pytest.raises(BudgetError, match="cycles exceed"):
+        cycle_census(nth_primorial(1), nth_primorial(7), budget=big)
+    assert nth_primorial(8).value // nth_primorial(4).value <= census._MAX_CYCLES
+    # the members at 23# would be 194 MB: the primality budget still refuses them
+    with pytest.raises(BudgetError, match="primality budget"):
+        new_composites(p23, budget=big)
+
+
+def test_census_of_19_primorial_cycles_in_23_primorial():
+    # totals checked independently: a plain sieve of Eratosthenes to 23# gives
+    # the same true twins and pi(23#) = 12,283,531, so the same new composites
+    # by Eq. 3; the potential counts are phi(23#) and T(23#) - 1
+    p19, p23 = nth_primorial(8), nth_primorial(9)
+    rows = cycle_census(p19, p23, budget=p23.value)
+    assert len(rows) == 23
+    last = rows[-1]
+    assert last.cumulative_potential_primes == totient_of_primorial(p23) == 36_495_360
+    assert last.cumulative_potential_twins == potential_solutions_T(p23) - 1 == 7_952_174
+    assert last.cumulative_true_twins == 896_058
+    assert last.new_composites_cumulative == 24_211_837
+    assert rows[0].true_twins == 57_449
+    assert min(r.true_twins for r in rows) == last.true_twins == 34_504
+    assert prime_count_via_eq3(p23, budget=p23.value) == 12_283_531

@@ -245,3 +245,19 @@ def test_row_count_validation():
 def test_identity_avg_b_equals_avg_a_times_pb():
     for row in build_table19_20(8):
         assert row.avg_T_B == pytest.approx(row.avg_T_A * row.P_b, rel=1e-12)
+
+
+def test_only_the_table_scale_prefix_is_cached(monkeypatch):
+    # at a table scale of 1,000, a span to 1,999 reads a prefix to 2,000
+    monkeypatch.setattr(scaffold, "PRODUCT_FACTOR_PRIME_LIMIT", 1000)
+    _build_log_prefix.cache_clear()
+    try:
+        short = product_factor(3, 997)
+        odd = primes_up_to(1999).ordered_primes[1:]
+        assert product_factor(3, 1999) == math.exp(math.fsum(math.log1p(-2 / q) for q in odd))
+        assert _build_log_prefix.cache_info().currsize == 1
+        misses = _build_log_prefix.cache_info().misses
+        assert product_factor(3, 997) == short
+        assert _build_log_prefix.cache_info().misses == misses  # still the prefix to 1,000
+    finally:
+        _build_log_prefix.cache_clear()
