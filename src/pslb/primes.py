@@ -1,15 +1,15 @@
 """Prime generation, primorials and the seed-prime partition.
 
-Every mask indexes the odd integers (index i holds 2i + 1): the prime flags
-and every residue mask are one `seed_free_odd_mask` over `residue_sieve`, the
-lab's one strided kernel. One module-level table serves every prime lookup:
-`primes_up_to`, `prev_prime` and `next_prime` read its odd flags, and it is
-re-sieved, at least doubled and at most to the primality budget, only when a
-limit past its end is asked for. A table for a cache file is sieved window by
-window straight into the file's packed bitset, and a loaded one answers from
-that bitset; neither holds one bool per odd integer unless asked for its flags.
-Likewise one ladder of the 64-bit primorials, built at import by trial
-division (no sieve), serves every primorial lookup.
+Every mask indexes the odd integers (index i holds 2i + 1): every residue
+mask is one `seed_free_odd_mask` over `residue_sieve`, the strided class
+kernel, and the prime flags one segmented sieve from each seed's square.
+One module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
+and `next_prime` read its odd flags; it is re-sieved, at least doubled and at
+most to the primality budget, only when a limit past its end is asked for. A
+table for a cache file is sieved window by window straight into the file's
+packed bitset, and a loaded one answers from that bitset; neither holds one
+bool per odd integer unless asked for its flags. One ladder of the 64-bit
+primorials, built at import by trial division, serves every primorial lookup.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ CACHE_MAGIC = b"PSLB"
 CACHE_VERSION = 2
 # magic, version byte, little-endian u64 limit, then a u32 CRC-32 of the limit
 # bytes and the bitset body
-_CACHE_HEADER = 17
+_CACHE_HEADER = struct.Struct("<4sBQI")  # 17 bytes
 
 DEFAULT_PRIMALITY_BUDGET = 100_000_000
 
@@ -61,16 +61,17 @@ def is_prime(n: int) -> bool:
 # Integers per residue-sieve window: 1 MB of flags, about one L2 cache, so each
 # class's strided pass stays in cache instead of going out to main memory.
 _WINDOW = 1 << 20
+_WHEEL = 3 * 5 * 7 * 11 * 13  # odd integers per period of the small seeds' multiples
 
 
 def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> np.ndarray:
     """Mask over the integers lo..hi (inclusive) whose residue mod each q
     avoids every class in forbidden[q].
 
-    Index i corresponds to the integer lo+i. A segmented sieve (Bays &
-    Hudson, BIT 17 (1977)): each forbidden class clears one strided slice per
-    window of _WINDOW integers, its offset worked out again in every window,
-    so the cost is O((hi - lo) * sum(|R_q| / q)). A window past the primality
+    Index i corresponds to the integer lo+i. Segmented as in Bays & Hudson,
+    BIT 17 (1977), but by class: each forbidden class clears one strided
+    slice per window of _WINDOW integers from its first member in it, so the
+    cost is O((hi - lo) * sum(|R_q| / q)). A window past the primality
     budget raises BudgetError before anything is allocated.
     """
     size = max(hi - lo + 1, 0)
@@ -125,14 +126,16 @@ def _prime_windows(limit: int, flags: np.ndarray | None = None):
     of 2i + 1 for i from lo. The windows are slices of flags, which has room
     for every flag, or without flags of one buffer that each window reuses.
 
-    A window keeps the odd integers free of the odd seeds up to sqrt(limit),
-    which come from the same sieve one level down; the seeds' own flags are
-    set back and 1's is cleared. Windows hold _WINDOW flags rounded up to
-    whole bytes, so each one packs into a bitset on its own.
+    A window starts as a copy of the odd integers free of 3 to 13, which
+    repeat every _WHEEL of them (window 0 then sets 3 to 13 back and clears
+    1); each odd seed q from 17 to sqrt(limit), sieved one level down, clears
+    its odd multiples from q*q on (Bays & Hudson), skipping windows below q*q.
+    Windows hold _WINDOW flags rounded up to whole bytes, so each packs alone.
     """
     root = math.isqrt(limit)
-    at = np.flatnonzero(_odd_flags(root)) if root >= 3 else np.zeros(0, dtype=np.intp)
-    classes = _seed_classes((2 * at + 1).tolist())  # at holds the seeds' indexes
+    seeds = 2 * np.flatnonzero(_odd_flags(root)[8:]) + 17 if root >= 17 else np.zeros(0, dtype=np.intp)
+    squares = seeds * seeds // 2  # the odd index of each q*q, ascending
+    wheel = seed_free_odd_mask(0, 2 * _WHEEL - 1, (3, 5, 7, 11, 13))  # two periods: one starts anywhere
     size = (limit + 1) // 2
     step = -(-_WINDOW // 8) * 8
     whole = flags is not None
@@ -141,12 +144,14 @@ def _prime_windows(limit: int, flags: np.ndarray | None = None):
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         window = flags[lo:hi] if whole else flags[: hi - lo]
-        window[:] = True
-        _clear_classes(window, lo, classes)
-        a, b = np.searchsorted(at, (lo, hi))
-        window[at[a:b] - lo] = True  # the seeds themselves are prime
-        if lo == 0:
-            window[0] = False  # 1 is not prime
+        phase, n = wheel[lo % _WHEEL :], (hi - lo) // _WHEEL * _WHEEL
+        window[:n].reshape(-1, _WHEEL)[:] = phase[:_WHEEL]
+        window[n:] = phase[: hi - lo - n]
+        live = seeds[: np.searchsorted(squares, hi)]  # each from q*q, or its first odd multiple past lo
+        for q, at in zip(live.tolist(), np.maximum(squares[: live.size] - lo, (live // 2 - lo) % live).tolist()):
+            window[at::q] = False
+        if lo == 0:  # the flags of 1, 3, 5, ..., 13
+            window[:7] = (False, True, True, True, False, True, True)[: hi]
         yield lo, window
 
 
@@ -229,53 +234,47 @@ class PrimeTable:
         return np.packbits(self._odd)
 
     def save(self, path) -> None:
-        limit = struct.pack("<Q", self.limit)
         body = self._bitset()  # written and checksummed as a buffer, no bytes copy
+        crc = zlib.crc32(body, zlib.crc32(struct.pack("<Q", self.limit)))
         with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<B", CACHE_VERSION))
-            fh.write(limit)
-            fh.write(struct.pack("<I", zlib.crc32(body, zlib.crc32(limit))))
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.limit, crc))
             fh.write(body)
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
         """Read a cache file; DomainError if it is corrupt or of another version.
 
-        The body is checksummed through a memoryview and kept, uncopied, as
-        the table's bitset: the flags are unpacked only if asked for.
+        The header is checked before the body is read, so no limit past the
+        primality budget is read; the body is read into one buffer and kept
+        as the table's bitset: the flags are unpacked only if asked for.
         """
         with open(path, "rb") as fh:
-            blob = memoryview(fh.read())
-        if len(blob) < 5:
-            raise DomainError(f"bad sieve cache: file is only {len(blob)} bytes")
-        if blob[:4] != CACHE_MAGIC:
-            raise DomainError("bad sieve cache: wrong magic bytes")
-        if blob[4] != CACHE_VERSION:
-            # version 1 had no checksum, so a corrupt v1 body cannot be told apart
-            raise DomainError(f"bad sieve cache: unsupported version {blob[4]} "
-                              f"(rebuild it with `pslb cache build`)")
-        if len(blob) < _CACHE_HEADER:
-            raise DomainError(
-                f"bad sieve cache: expected a {_CACHE_HEADER}-byte header, found {len(blob)} bytes"
-            )
-        (limit,) = struct.unpack("<Q", blob[5:13])
-        if limit < 2:
-            raise DomainError(f"bad sieve cache: limit {limit} is below 2")
-        size = (limit + 1) // 2
-        expected = (size + 7) // 8
-        body = blob[_CACHE_HEADER:]
-        if len(body) != expected:
-            raise DomainError(
-                f"bad sieve cache: expected {expected} bitset bytes, found {len(body)}"
-            )
-        (stored,) = struct.unpack("<I", blob[13:17])
-        if zlib.crc32(body, zlib.crc32(blob[5:13])) != stored:
+            head = fh.read(_CACHE_HEADER.size)
+            if head[:4] != CACHE_MAGIC:
+                raise DomainError("bad sieve cache: wrong magic bytes")
+            if len(head) < _CACHE_HEADER.size:
+                raise DomainError(f"bad sieve cache: file is only {len(head)} bytes, "
+                                  f"shorter than its {_CACHE_HEADER.size}-byte header")
+            _, version, limit, stored = _CACHE_HEADER.unpack(head)
+            if version != CACHE_VERSION:
+                # version 1 had no checksum, so a corrupt v1 body cannot be told apart
+                raise DomainError(f"bad sieve cache: unsupported version {version} "
+                                  f"(rebuild it with `pslb cache build`)")
+            if not 2 <= limit <= DEFAULT_PRIMALITY_BUDGET:
+                raise DomainError(f"bad sieve cache: limit {limit} is below 2 or past the "
+                                  f"primality budget {DEFAULT_PRIMALITY_BUDGET}")
+            size = (limit + 1) // 2
+            body = np.empty((size + 7) // 8, dtype=np.uint8)
+            found = fh.readinto(body)
+            if found != body.size or fh.read(1):
+                raise DomainError(f"bad sieve cache: expected {body.size} bitset bytes, found "
+                                  f"{found if found < body.size else 'more'}")
+        if zlib.crc32(body, zlib.crc32(head[5:13])) != stored:
             raise DomainError("bad sieve cache: checksum mismatch")
         tail = size % 8  # flags in the last byte; the bits after them are padding
         if tail and body[-1] & (0xFF >> tail):
             raise DomainError("bad sieve cache: padding bits set after the last flag")
-        return _PackedTable(limit, np.frombuffer(body, dtype=np.uint8))
+        return _PackedTable(limit, body)
 
 
 class _PackedTable(PrimeTable):
@@ -304,10 +303,11 @@ class _PackedTable(PrimeTable):
 
     @property
     def prime_count(self) -> int:
-        """pi(limit): 2 and the bits set, counted 64 KB of bitset at a time."""
-        bits, step = self._bits, 1 << 16
-        return 1 + sum(int.from_bytes(bits[i : i + step], "little").bit_count()
-                       for i in range(0, bits.size, step))
+        """pi(limit): 2 and the bits set, in 64-bit words 64 KB at a time, then the tail bytes."""
+        bits, step = self._bits, 1 << 13
+        words = bits[: bits.size // 8 * 8].view(np.uint64)  # any alignment will do
+        return 1 + int(np.bitwise_count(bits[words.size * 8 :]).sum()) + sum(
+            int(np.bitwise_count(words[i : i + step]).sum()) for i in range(0, words.size, step))
 
     def _bitset(self) -> np.ndarray:
         return self._bits

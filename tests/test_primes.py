@@ -89,6 +89,30 @@ def test_windowed_sieve_at_window_edges(window, edge):
         assert np.array_equal(sieve_odd_flags(limit), plain_odd_flags(limit))
 
 
+def test_seed_squares_at_window_edges():
+    # with 8-flag windows, 7*7 (index 24) and 17*17 (index 144) are the first
+    # flags of windows 3 and 18; an odd square's index is 0 mod 4, so a square
+    # is a window's last flag only when the limit cuts the window there
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", 8)
+        for q in (7, 17):
+            assert q * q // 2 % 8 == 0
+            for limit in (q * q - 2, q * q, q * q + 2, q * q + 14, q * q + 16):
+                assert np.array_equal(sieve_odd_flags(limit), plain_odd_flags(limit)), (q, limit)
+
+
+@pytest.mark.parametrize("window", [8, 9, 64, primes._WINDOW])
+def test_sieve_at_seed_squares(window):
+    # q joins the seeds at limit q*q, whose flag it then clears and no other
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        for q in (3, 5, 7, 11, 13, 17, 31, 97):
+            for limit in (q * q - 2, q * q, q * q + 2):
+                flags = sieve_odd_flags(limit)
+                assert np.array_equal(flags, plain_odd_flags(limit)), (q, limit)
+                assert flags[q // 2] and (limit < q * q or not flags[q * q // 2])
+
+
 def test_sieve_flags_to_1e7_are_pinned():
     digest = hashlib.sha256(np.packbits(sieve_odd_flags(10**7))).hexdigest()
     assert digest == "071f8b5771d0115b6c2a6920371be47db9ec5135eff45243db5ebc8a8f66926b"
@@ -622,3 +646,44 @@ def test_cache_padding_bits_set(tmp_path):
     write_cache(path, 17, np.packbits(sieve_odd_flags(17)).tobytes()[:-1] + b"\x01")
     with pytest.raises(DomainError, match="padding"):
         PrimeTable.load(path)
+
+
+def test_cache_header_limit_past_the_budget_is_refused_before_the_body(tmp_path):
+    path = tmp_path / "p.sieve"
+    write_cache(path, 10**12, bytes(1 << 20))  # 1 MB of body, far short of 10^12 bits
+
+    def load():
+        with pytest.raises(DomainError, match="primality budget"):
+            PrimeTable.load(path)
+
+    assert traced_peak(load) < 64 * 2**10
+
+
+def test_cache_verify_of_an_endless_file_exits_1():
+    # /dev/zero never ends; the header alone (zero bytes, so no magic) refuses it
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pslb.cli import main\n"
+            "sys.exit(main(['cache', 'verify', '/dev/zero']))\n")
+    src = os.path.dirname(os.path.dirname(primes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")  # keep NumPy's import inside the cap
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == "error: bad sieve cache: wrong magic bytes\n"
+
+
+@pytest.mark.parametrize("nbytes", [1, 7, 8, 9, 15, 17, 65_535, 65_536, 65_537, 131_079])
+def test_packed_prime_count_at_any_bitset_length_and_alignment(tmp_path, nbytes):
+    limit = 16 * nbytes - 1  # 8 * nbytes odd flags, so the bitset is nbytes long
+    path = tmp_path / "p.sieve"
+    PrimeTable.packed(limit).save(path)
+    # the body one byte past an 8-byte boundary, as at its file offset 17
+    unaligned = np.zeros(nbytes // 8 + 2, dtype=np.uint64).view(np.uint8)[1 : nbytes + 1]
+    unaligned[:] = np.frombuffer(path.read_bytes(), dtype=np.uint8, offset=17)
+    assert unaligned.ctypes.data % 8 == 1
+    expected = 1 + np.count_nonzero(np.unpackbits(unaligned))
+    for table in (PrimeTable.packed(limit), PrimeTable.load(path),
+                  primes._PackedTable(limit, unaligned)):
+        assert table._bitset().size == nbytes
+        assert table.prime_count == expected == PrimeTable(limit).prime_count, limit
