@@ -660,9 +660,10 @@ def test_cache_header_limit_past_the_budget_is_refused_before_the_body(tmp_path)
 
 
 def test_cache_verify_of_an_endless_file_exits_1():
-    # /dev/zero never ends; the header alone (zero bytes, so no magic) refuses it
+    # /dev/zero never ends, so reading it whole fails (a MemoryError under the
+    # 1 GB address-space cap); its header alone, zero bytes with no magic, refuses it
     code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
             "from pslb.cli import main\n"
             "sys.exit(main(['cache', 'verify', '/dev/zero']))\n")
     src = os.path.dirname(os.path.dirname(primes.__file__))
