@@ -4,24 +4,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, _clear_classes, _prime_windows,
+from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, _clear_classes, _prime_windows, _read_only,
                      _seed_classes, max_seed_prime_for, primes_up_to)
 from .signatures import potential_twin_mask
 
 DEFAULT_FACTOR_BUDGET = 510_510
 # The census sieves its own windows, so no prime table bounds it: 19# in 23#
 # takes 0.5 s, each primorial past it multiplies that by its new prime, and
-# 2^17 cycles of rows hold about 100 MB.
+# 2^17 cycles of rows hold about 100 MB. Within the primality budget it keeps
+# the last primorial's packed flags (2 x 606 KB at 19#), so the readers of one
+# primorial sieve it once; past the budget it streams them.
 CENSUS_CEILING = 223_092_870  # 23#
 _MAX_CYCLES = 1 << 17
-# Flags per counted piece of a sieve window: np.add.reduceat casts the four
-# piece masks to uint16 (a count per piece fits), 256 KB, beside the window.
-_PIECE = 1 << 15
 
 
 def totient_of_primorial(p: Primorial) -> int:
@@ -54,47 +54,62 @@ class NewCompositeSet:
         return int(self.members[0]) if len(self.members) else None
 
 
-def _census_fold(p: Primorial, width: int, budget: int,
-                 members: np.ndarray | None = None) -> np.ndarray:
+def _window_words(p: Primorial):
+    """Per prime-sieve window up to p.value, (lo, size, words): rows 0 and 1
+    hold the potential-prime (no core factor) and prime flags of 2i + 1, i in
+    lo .. lo + size - 1, flag i at bit i % 64 of little-endian 64-bit word
+    i // 64, and 0 past the last flag."""
+    classes = _seed_classes(p.prime_factors)
+    for lo, window in _prime_windows(p.value):
+        potential = np.ones(window.size, dtype=bool)
+        _clear_classes(potential, lo, classes)
+        words = np.zeros((2, -(-window.size // 64)), dtype="<u8")
+        for row, flags in zip(words.view(np.uint8), (potential, window)):
+            row[: -(-window.size // 8)] = np.packbits(flags, bitorder="little")
+        yield lo, window.size, words
+
+
+@lru_cache(maxsize=1)
+def _kept_words(p: Primorial) -> tuple:
+    """The windows of _window_words(p), read-only, for p within the primality budget."""
+    return tuple((lo, size, _read_only(words)) for lo, size, words in _window_words(p))
+
+
+def _census_fold(p: Primorial, width: int, budget: int) -> np.ndarray:
     """Counts of the potential primes, potential twins, true twins and new
     composites (rows 0-3) per segment of `width` odd flags up to p.value, the
-    last possibly shorter, from one pass over the prime sieve's windows read in
-    pieces; with `members`, the new composites are also written into it in
-    order. BudgetError past the budget or the census ceiling.
+    last possibly shorter. BudgetError past the budget or the census ceiling.
 
-    A new composite is a potential prime (no core factor) that is neither
-    prime nor 1. A twin anchor o2 >= 5 is potential when o2 - 2 and o2 are, and
-    true when both are prime, so each piece hands its last flags to the next.
+    A new composite is a potential prime that is neither prime nor 1. A twin
+    anchor o2 >= 5 is potential when o2 - 2 and o2 are, and true when both are
+    prime: each flag row is ANDed with itself moved up one flag, the last flag
+    of the window before carried in. A window's count up to a flag is the
+    popcount of its words before that flag's word, from prefix sums, plus the
+    bits of that word below it.
     """
     if p.value > budget:
         raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
     if p.value > CENSUS_CEILING:
         raise BudgetError(f"primorial {p.value} exceeds census ceiling {CENSUS_CEILING} (23#)")
     counts = np.zeros((4, -(-(p.value // 2) // width)), dtype=np.int64)
-    classes, masks = _seed_classes(p.prime_factors), np.empty((4, _PIECE), dtype=bool)
-    last, found = (False, False), 0
-    for lo, window in _prime_windows(p.value):
-        potential = np.ones(window.size, dtype=bool)
-        _clear_classes(potential, lo, classes)
-        for a in range(0, window.size, _PIECE):
-            start, prime = lo + a, window[a : a + _PIECE]
-            pp, pt, tt, nc = piece = masks[:, : prime.size]
-            pp[:] = potential[a : a + _PIECE]
-            np.greater(pp, prime, out=nc)  # potential and not prime
-            np.logical_and(pp[1:], pp[:-1], out=pt[1:])
-            np.logical_and(prime[1:], prime[:-1], out=tt[1:])
-            pt[0], tt[0] = pp[0] & last[0], prime[0] & last[1]
-            tt &= pt
-            if start == 0:
-                nc[0] = pt[:2] = tt[:2] = False  # 1 is no composite; anchors start at 5
-            last = pp[-1], prime[-1]
-            s, edges = start // width, np.arange(-(start % width), prime.size, width)
-            edges[0] = 0  # the piece meets segments s, s + 1, ...; s began at or before it
-            counts[:, s : s + edges.size] += np.add.reduceat(piece, edges, axis=1, dtype=np.uint16)
-            if members is not None:
-                at = np.flatnonzero(nc) + start
-                members[found : found + at.size] = 2 * at + 1  # index i holds 2i + 1
-                found += at.size
+    carry = np.zeros(2, dtype="<u8")
+    for lo, size, flags in _kept_words(p) if p.value <= DEFAULT_PRIMALITY_BUDGET else _window_words(p):
+        up = flags << np.uint64(1)
+        up[:, 1:] |= flags[:, :-1] >> np.uint64(63)
+        up[:, 0] |= carry
+        carry = flags[:, -1] >> np.uint64((size - 1) % 64) & np.uint64(1)
+        (pp, prime), pt = flags, flags[0] & up[0]
+        words = np.stack([pp, pt, pt & prime & up[1], pp & ~prime])
+        if lo == 0:
+            words[1:3, 0] &= ~np.uint64(3)  # anchors start at 5
+            words[3, 0] &= ~np.uint64(1)  # 1 is no composite
+        s, edges = lo // width, np.arange(-(lo % width), size + width, width)
+        edges[0], edges[-1] = 0, size  # the window meets segments s, s + 1, ...; s began at or before it
+        before = np.zeros((4, words.shape[1] + 1), dtype=np.int64)
+        np.cumsum(np.bitwise_count(words), axis=1, out=before[:, 1:])
+        q, below = edges >> 6, (np.uint64(1) << (edges & 63).astype(np.uint64)) - np.uint64(1)
+        upto = before[:, q] + np.bitwise_count(words.take(q, axis=1, mode="clip") & below)
+        counts[:, s : s + edges.size - 1] += np.diff(upto, axis=1)
     return counts
 
 
@@ -103,13 +118,21 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
 
     A member is an odd composite > 1 that no core seed prime divides; its
     smallest factor is therefore a non-core seed prime. BudgetError past the
-    primality budget, where the members would pass 100 MB.
+    budget or the primality budget, where the members would pass 100 MB.
     """
     if p.value > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"new composites of {p.value} exceed primality budget {DEFAULT_PRIMALITY_BUDGET}")
-    # room for every potential prime; the fold keeps no view of it, so it shrinks in place
-    members = np.empty(totient_of_primorial(p), dtype=np.int64)
-    members.resize(int(_census_fold(p, p.value, budget, members)[3, 0]), refcheck=False)
+    if p.value > budget:
+        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
+    windows = [(lo, words[0] & ~words[1]) for lo, _, words in _kept_words(p)]  # potential, not prime
+    windows[0][1][0] &= ~np.uint64(1)  # 1 is no composite
+    members, found = np.empty(sum(int(np.bitwise_count(w).sum()) for _, w in windows), dtype=np.int64), 0
+    for lo, words in windows:
+        bits = words.view(np.uint8)
+        for a in range(0, bits.size, 1 << 12):  # 2^15 flags at a time, so their indices stay small
+            at = np.flatnonzero(np.unpackbits(bits[a : a + (1 << 12)], bitorder="little").view(bool))
+            members[found : found + at.size] = 2 * (at + lo + 8 * a) + 1  # index i holds 2i + 1
+            found += at.size
     return NewCompositeSet(p, members)
 
 

@@ -259,6 +259,7 @@ def test_cycle_census_false_twins_match_mask_difference(ks):
 def test_figure1_series_memory_per_integer():
     prim = nth_primorial(7)
     figure1_series(prim)  # warm the shared table and the seed set
+    census._kept_words.cache_clear()  # the traced call sieves 17# again
     tracemalloc.start()
     try:
         figure1_series(prim)
@@ -282,12 +283,14 @@ def traced_peak(fn) -> int:
 def test_cycle_census_odd_masks_stay_under_two_bytes_per_integer():
     prim = nth_primorial(7)
     cycle_census(prim, prim)  # warm the shared table
+    census._kept_words.cache_clear()  # the traced call sieves 17# again
     assert traced_peak(lambda: cycle_census(prim, prim)) < 2 * prim.value
 
 
 def test_figure1_series_odd_masks_stay_under_two_bytes_per_integer():
     prim = nth_primorial(7)
     figure1_series(prim)  # warm the shared table and the seed set
+    census._kept_words.cache_clear()  # the traced call sieves 17# again
     assert traced_peak(lambda: figure1_series(prim)) < 2 * prim.value
 
 
@@ -296,6 +299,7 @@ def test_cycle_census_memory_per_integer():
     # before the two twin masks are built: at most three whole masks at once
     prim = nth_primorial(7)
     cycle_census(prim, prim)  # warm the shared table
+    census._kept_words.cache_clear()  # the traced call sieves 17# again
     tracemalloc.start()
     try:
         cycle_census(prim, prim)
@@ -323,25 +327,29 @@ def whole_array_counts(p, width):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_fold_rows_equal_whole_masks(data):
-    # windows down to 8 flags and pieces down to 1 split cycles and put twin
-    # pairs across their edges; the floors keep a fold within 256 windows and
-    # 2,048 pieces, and the inner primorial within the cycle cap. A piece is
-    # at most _PIECE flags, so that its uint16 counts cannot wrap.
+    # windows down to 8 flags split cycles and put twin pairs across their
+    # edges; the floor keeps a fold within 256 windows, and the inner
+    # primorial within the cycle cap. Windows of 8, 72 and 136 flags end in a
+    # part-filled word, so the twin carry must read the window's last flag,
+    # not bit 63.
     k_outer = data.draw(st.integers(1, 8), label="k_outer")
     outer = nth_primorial(k_outer)
     k_inner = data.draw(st.integers(1, k_outer).filter(
         lambda k: outer.value // nth_primorial(k).value <= census._MAX_CYCLES), label="k_inner")
     inner = nth_primorial(k_inner)
     size = outer.value // 2
-    window = data.draw(st.integers(max(8, size // 256), max(8, size // 2)), label="window")
-    piece = data.draw(st.integers(max(1, size // 2048), min(2 * window, census._PIECE)),
-                      label="piece")
+    windows = st.integers(max(8, size // 256), max(8, size // 2))
+    part_filled = [w for w in (8, 72, 136) if size // w <= 256]
+    window = data.draw(st.sampled_from(part_filled) | windows if part_filled else windows, label="window")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "_WINDOW", window)
-        mp.setattr(census, "_PIECE", piece)
-        rows = cycle_census(inner, outer, budget=outer.value)
-        members = new_composites(outer, budget=outer.value).members
-        figure = figure1_series(outer, budget=outer.value) if outer.value >= 4 else []
+        census._kept_words.cache_clear()  # so the words are sieved in the patched windows
+        try:
+            rows = cycle_census(inner, outer, budget=outer.value)
+            members = new_composites(outer, budget=outer.value).members
+            figure = figure1_series(outer, budget=outer.value) if outer.value >= 4 else []
+        finally:
+            census._kept_words.cache_clear()
     (pp, pt, tt, nc), nc_mask = whole_array_counts(outer, inner.value // 2)
     assert [(r.potential_primes, r.potential_twins, r.false_twins, r.true_twins) for r in rows] == \
         list(zip(pp.tolist(), pt.tolist(), (pt - tt).tolist(), tt.tolist()))
@@ -354,6 +362,29 @@ def test_fold_rows_equal_whole_masks(data):
         (pp, _, _, nc), _ = whole_array_counts(outer, max_seed_prime_for(outer.value))
         assert [w.potential_primes for w in figure] == pp.tolist()
         assert [w.cumulative_new_composites for w in figure] == np.cumsum(nc).tolist()
+
+
+def test_census_readers_sieve_a_primorial_once(monkeypatch):
+    # Table 5, new composites and figure 1 of 19# read one set of kept words
+    sieved = []
+
+    def counted(limit, *args):
+        sieved.append(limit)
+        return primes._prime_windows(limit, *args)
+
+    monkeypatch.setattr(census, "_prime_windows", counted)
+    census._kept_words.cache_clear()
+    p19 = nth_primorial(8)
+    cycle_census(nth_primorial(7), p19, budget=p19.value)
+    new_composites(p19, budget=p19.value)
+    figure1_series(p19, budget=p19.value)
+    assert sieved == [p19.value]
+
+
+def test_kept_words_are_read_only():
+    for _, _, words in census._kept_words(nth_primorial(5)):
+        with pytest.raises(ValueError):
+            words[0, 0] = 0
 
 
 def test_census_reads_no_shared_table(monkeypatch):
@@ -393,6 +424,7 @@ def test_census_of_19_primorial_cycles_in_23_primorial():
     # the same true twins and pi(23#) = 12,283,531, so the same new composites
     # by Eq. 3; the potential counts are phi(23#) and T(23#) - 1
     p19, p23 = nth_primorial(8), nth_primorial(9)
+    census._kept_words.cache_clear()
     rows = cycle_census(p19, p23, budget=p23.value)
     assert len(rows) == 23
     last = rows[-1]
@@ -403,3 +435,5 @@ def test_census_of_19_primorial_cycles_in_23_primorial():
     assert rows[0].true_twins == 57_449
     assert min(r.true_twins for r in rows) == last.true_twins == 34_504
     assert prime_count_via_eq3(p23, budget=p23.value) == 12_283_531
+    # 23# is past the primality budget: its words are streamed, never kept
+    assert census._kept_words.cache_info().currsize == 0
