@@ -54,19 +54,27 @@ class NewCompositeSet:
         return int(self.members[0]) if len(self.members) else None
 
 
+# each byte with its bits in reverse order: a prime-sieve window packs its
+# flags most significant bit first, the census words least significant first
+_BIT_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
+                            axis=1, bitorder="little").ravel()
+
+
 def _window_words(p: Primorial):
     """Per prime-sieve window up to p.value, (lo, size, words): rows 0 and 1
     hold the potential-prime (no core factor) and prime flags of 2i + 1, i in
     lo .. lo + size - 1, flag i at bit i % 64 of little-endian 64-bit word
     i // 64, and 0 past the last flag."""
     classes = _seed_classes(p.prime_factors)
-    for lo, window in _prime_windows(p.value):
-        potential = np.ones(window.size, dtype=bool)
+    for lo, bits in _prime_windows(p.value):
+        size = min(8 * bits.size, (p.value + 1) // 2 - lo)
+        potential = np.ones(size, dtype=bool)
         _clear_classes(potential, lo, classes)
-        words = np.zeros((2, -(-window.size // 64)), dtype="<u8")
-        for row, flags in zip(words.view(np.uint8), (potential, window)):
-            row[: -(-window.size // 8)] = np.packbits(flags, bitorder="little")
-        yield lo, window.size, words
+        words = np.zeros((2, -(-size // 64)), dtype="<u8")
+        potential_row, prime_row = words.view(np.uint8)
+        potential_row[: bits.size] = np.packbits(potential, bitorder="little")
+        _BIT_REVERSED.take(bits, out=prime_row[: bits.size])
+        yield lo, size, words
 
 
 @lru_cache(maxsize=1)

@@ -2,7 +2,9 @@
 
 Every mask indexes the odd integers (index i holds 2i + 1): every residue
 mask is one `seed_free_odd_mask` over `residue_sieve`, the strided class
-kernel, and the prime flags one segmented sieve from each seed's square.
+kernel, and the prime flags one segmented sieve, `_prime_windows`, whose
+windows take the seeds up to 199 from cached patterns and clear each larger
+one from its square.
 One module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
 and `next_prime` read its odd flags; it is re-sieved, at least doubled and at
 most to the primality budget, only when a limit past its end is asked for. A
@@ -62,6 +64,18 @@ def is_prime(n: int) -> bool:
 # class's strided pass stays in cache instead of going out to main memory.
 _WINDOW = 1 << 20
 _WHEEL = 3 * 5 * 7 * 11 * 13  # odd integers per period of the small seeds' multiples
+# The odd seeds 17 to 199 are removed from each packed window by ANDing in
+# patterns, as primesieve's PreSieve does (K. Walisch): the seeds in greedy
+# groups whose product, a pattern's period in bytes, is at most _PATTERN_BYTES.
+# Larger seeds clear strided slices: at 1e8, removing 211 to 359 as well saves
+# about what the AND passes of their 13 pair patterns cost (8 ms), and past 359
+# a group holds one seed.
+_PATTERN_PRIMES = tuple(filter(is_prime, range(17, 200)))
+_PATTERN_BYTES = 1 << 17
+# Below 211**2 (211 is the least prime past the patterns) every odd integer
+# free of 3 to 199 is prime, so one pre-sieve gives the strided seeds of every
+# limit below 211**4, about 2e9: past the primality budget and 23#.
+_SEED_REACH = 211 * 211
 
 
 def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> np.ndarray:
@@ -117,33 +131,40 @@ def _check_sieve_limit(limit: int) -> None:
 def sieve_odd_flags(limit: int) -> np.ndarray:
     """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
     _check_sieve_limit(limit)
-    return _odd_flags(limit)
+    return np.unpackbits(_sieve_bits(limit), count=(limit + 1) // 2).view(bool)
 
 
-def _prime_windows(limit: int, flags: np.ndarray | None = None):
+def _prime_windows(limit: int):
     """Sieve the prime flags of the odd integers up to limit >= 1 one window
-    at a time, and yield (lo, window) as each is done: window holds the flags
-    of 2i + 1 for i from lo. The windows are slices of flags, which has room
-    for every flag, or without flags of one buffer that each window reuses.
+    at a time, and yield (lo, bits) as each is done: bits packs the flags of
+    2i + 1 for i from lo 8 to a byte, most significant bit first, as a cache
+    file's body does, with 0 in the padding bits after the last flag.
 
-    A window starts as a copy of the odd integers free of 3 to 13, which
+    A window starts as a bool copy of the odd integers free of 3 to 13, which
     repeat every _WHEEL of them (window 0 then sets 3 to 13 back and clears
-    1); each odd seed q from 17 to sqrt(limit), sieved one level down, clears
-    its odd multiples from q*q on (Bays & Hudson), skipping windows below q*q.
+    1); each prime q from 211 to sqrt(limit) clears its odd multiples from
+    q*q on (Bays & Hudson), skipping windows below q*q.
+    The window is then packed, each pattern of the seeds 17 to 199 is ANDed
+    in from its byte (lo // 8) % P, and each such seed up to limit is set
+    back. A pattern seed past sqrt(limit) clears only composites and itself,
+    so the same patterns serve every limit.
     Windows hold _WINDOW flags rounded up to whole bytes, so each packs alone.
     """
     root = math.isqrt(limit)
-    seeds = 2 * np.flatnonzero(_odd_flags(root)[8:]) + 17 if root >= 17 else np.zeros(0, dtype=np.intp)
+    if root >= _SEED_REACH:
+        raise BudgetError(f"sieve limit {limit} needs seeds past {_SEED_REACH}")
+    wheel, patterns, seeds = _presieve()
+    seeds = seeds[: np.searchsorted(seeds, root, side="right")]
     squares = seeds * seeds // 2  # the odd index of each q*q, ascending
-    wheel = seed_free_odd_mask(0, 2 * _WHEEL - 1, (3, 5, 7, 11, 13))  # two periods: one starts anywhere
+    back = np.zeros(_PATTERN_PRIMES[-1] // 2 + 1, dtype=bool)
+    back[[q // 2 for q in _PATTERN_PRIMES if q <= limit]] = True
+    back = np.packbits(back)  # the pattern seeds to set back
     size = (limit + 1) // 2
     step = -(-_WINDOW // 8) * 8
-    whole = flags is not None
-    if not whole:
-        flags = np.empty(min(step, size), dtype=bool)
+    buffer = np.empty(min(step, size), dtype=bool)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        window = flags[lo:hi] if whole else flags[: hi - lo]
+        window = buffer[: hi - lo]
         phase, n = wheel[lo % _WHEEL :], (hi - lo) // _WHEEL * _WHEEL
         window[:n].reshape(-1, _WHEEL)[:] = phase[:_WHEEL]
         window[n:] = phase[: hi - lo - n]
@@ -152,15 +173,52 @@ def _prime_windows(limit: int, flags: np.ndarray | None = None):
             window[at::q] = False
         if lo == 0:  # the flags of 1, 3, 5, ..., 13
             window[:7] = (False, True, True, True, False, True, True)[: hi]
-        yield lo, window
+        bits = np.packbits(window)
+        for period, pattern in patterns:
+            phase, n = pattern[lo // 8 % period :], bits.size // period * period
+            rows = bits[:n].reshape(-1, period)  # a view of bits, ANDed in place
+            rows &= phase[:period]
+            bits[n:] &= phase[: bits.size - n]
+        head = back[lo // 8 : lo // 8 + bits.size]
+        bits[: head.size] |= head
+        yield lo, bits
 
 
-def _odd_flags(limit: int) -> np.ndarray:
-    """The odd flags up to limit >= 1, each window sieved in place."""
-    flags = np.empty((limit + 1) // 2, dtype=bool)
-    for _ in _prime_windows(limit, flags):
-        pass
-    return flags
+@lru_cache(maxsize=1)
+def _presieve() -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...], np.ndarray]:
+    """What every sieve starts from, read-only and built once per process:
+
+    - the bool flags of the odd integers free of 3 to 13 over two periods,
+      2 * _WHEEL of them, so _WHEEL follow any phase;
+    - (P, pattern) per greedy group of _PATTERN_PRIMES: P is the group's
+      product and pattern two periods (2P bytes) of the odd integers free of
+      the group, packed as the windows are;
+    - the strided seeds: the primes from 211 below _SEED_REACH.
+    """
+    groups = [[]]
+    for q in _PATTERN_PRIMES:
+        if math.prod(groups[-1]) * q > _PATTERN_BYTES:
+            groups.append([])
+        groups[-1].append(q)
+    patterns = []
+    for group in groups:
+        period = math.prod(group)
+        keep = np.ones(8 * period, dtype=bool)  # 8P flags, a period of P bytes
+        _clear_classes(keep, 0, _seed_classes(group))
+        patterns.append((period, _read_only(np.tile(np.packbits(keep), 2))))
+    wheel = seed_free_odd_mask(0, 2 * _WHEEL - 1, (3, 5, 7, 11, 13))
+    first = _PATTERN_PRIMES[-1] + 2  # 201, whose index is first // 2
+    free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, (3, 5, 7, 11, 13) + _PATTERN_PRIMES)
+    return _read_only(wheel), tuple(patterns), _read_only(2 * np.flatnonzero(free) + first)
+
+
+def _sieve_bits(limit: int) -> np.ndarray:
+    """The odd flags up to limit >= 1 packed as a cache file's body: each
+    window of _prime_windows copied straight in."""
+    bits = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
+    for lo, window in _prime_windows(limit):
+        bits[lo // 8 : lo // 8 + window.size] = window
+    return bits
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -219,13 +277,11 @@ class PrimeTable:
 
     @classmethod
     def packed(cls, limit: int) -> "PrimeTable":
-        """The table up to limit, sieved window by window straight into the
-        packed bitset a cache file keeps; no bool flag array is ever built."""
+        """The table up to limit: each packed window of `_prime_windows`, its
+        seeds up to 199 ANDed in as byte patterns, is copied straight into the
+        bitset a cache file keeps; no bool flag array is ever built."""
         _check_sieve_limit(limit)
-        bits = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
-        for lo, window in _prime_windows(limit):
-            bits[lo // 8 : (lo + window.size + 7) // 8] = np.packbits(window)
-        return _PackedTable(limit, bits)
+        return _PackedTable(limit, _sieve_bits(limit))
 
     # -- cache file ----------------------------------------------------------
 
@@ -287,6 +343,7 @@ class _PackedTable(PrimeTable):
     def __init__(self, limit: int, bits: np.ndarray):
         self.limit = limit
         self._bits = _read_only(bits)
+        self._bytes = memoryview(self._bits)  # indexed, a Python int; no NumPy scalar
         self._primes = None
 
     @cached_property
@@ -299,7 +356,7 @@ class _PackedTable(PrimeTable):
         if n % 2 == 0:
             return n == 2
         i = n // 2
-        return bool(self._bits[i >> 3] >> (7 - (i & 7)) & 1)
+        return bool(self._bytes[i >> 3] >> (7 - (i & 7)) & 1)
 
     @property
     def prime_count(self) -> int:

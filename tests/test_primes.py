@@ -568,6 +568,78 @@ def test_packed_build_equals_the_packed_sieve(window):
             assert "_odd" not in vars(table)  # never unpacked
 
 
+def check_every_sieve_against_plain(limit, path):
+    """sieve_odd_flags, PrimeTable.packed and that table saved and loaded all
+    equal the plain sieve at limit; the padding bits of the last byte are 0."""
+    flags = plain_odd_flags(limit)
+    assert np.array_equal(sieve_odd_flags(limit), flags), limit
+    table = PrimeTable.packed(limit)
+    assert np.array_equal(table._bitset(), np.packbits(flags)), limit
+    table.save(path)  # load refuses set padding bits
+    assert np.array_equal(PrimeTable.load(path)._bitset(), np.packbits(flags)), limit
+
+
+PATTERN_EDGE_SEEDS = primes._PATTERN_PRIMES + (211,)  # 211: the first seed cleared stride by stride
+
+
+@pytest.mark.parametrize("window", [8, 9, 64, primes._WINDOW])
+def test_pattern_seeds_at_their_own_flags(tmp_path, window):
+    # a pattern seed q is set back from limit q on, in whichever window holds
+    # it; below q its flag lies past the last one, and a packed window pads
+    # the rest of its last byte with 0, so e.g. 101, 103, 107 and 109 are not
+    # set in the padding after limit 100
+    limits = [limit for q in PATTERN_EDGE_SEEDS for limit in (q - 1, q)]
+    assert any((limit + 1) // 2 % 8 for limit in limits)  # some end in a part-filled byte
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        for limit in limits:
+            check_every_sieve_against_plain(limit, tmp_path / "p.sieve")
+
+
+@pytest.mark.parametrize("window", [64, primes._WINDOW])
+def test_pattern_seeds_at_their_squares(tmp_path, window):
+    # a pattern seed clears its square whether or not the limit reaches it;
+    # 211 joins the strided seeds at 211 * 211 (8- and 9-flag windows take
+    # about 40 s for these limits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        for q in PATTERN_EDGE_SEEDS:
+            for limit in (q * q - 2, q * q, q * q + 2):
+                check_every_sieve_against_plain(limit, tmp_path / "p.sieve")
+
+
+def test_a_second_packed_table_builds_no_pattern():
+    PrimeTable.packed(1000)  # NumPy's own first-call allocations, outside the traces
+    primes._presieve.cache_clear()
+    first = traced_peak(lambda: PrimeTable.packed(10**6))
+    second = traced_peak(lambda: PrimeTable.packed(10**6))
+    pattern_bytes = sum(pattern.nbytes for _, pattern in primes._presieve()[1])
+    assert 2**19 < pattern_bytes < 2**20
+    assert second < first - pattern_bytes // 2
+
+
+def test_strided_seeds_reach_every_limit_below_211_to_the_fourth():
+    # the cached strided seeds are the primes from 211 below 211**2
+    seeds = primes._presieve()[2]
+    odd_primes = 2 * np.flatnonzero(plain_odd_flags(211 * 211 - 1)) + 1
+    assert np.array_equal(seeds, odd_primes[odd_primes >= 211])
+    lo, bits = next(primes._prime_windows(211**4 - 1))  # the largest limit it takes: its first window
+    assert lo == 0 and np.array_equal(bits, np.packbits(plain_odd_flags(2 * 8 * bits.size)[: 8 * bits.size]))
+    with pytest.raises(BudgetError):
+        next(primes._prime_windows(211**4))
+
+
+@pytest.mark.parametrize("limit", [2, 3, 5, 17, 29, 197, 199, 100_001])
+def test_packed_table_membership_up_to_its_last_padded_byte(tmp_path, limit):
+    path = tmp_path / "p.sieve"
+    PrimeTable.packed(limit).save(path)
+    size = (limit + 1) // 2
+    last = 16 * ((size + 7) // 8) - 1  # the largest odd integer the last byte could hold
+    for table in (PrimeTable.packed(limit), PrimeTable.load(path)):
+        for n in range(max(-1, limit - 40), last + 3):
+            assert table.is_prime(n) == (n in table) == (n <= limit and is_prime(n)), (limit, n)
+
+
 def test_packed_build_checks_its_limit():
     with pytest.raises(DomainError):
         PrimeTable.packed(1)
