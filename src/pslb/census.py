@@ -10,8 +10,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, _clear_classes, _prime_windows, _read_only,
-                     _seed_classes, max_seed_prime_for, primes_up_to)
+from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, _and_patterns, _byte_patterns, _prime_windows,
+                     _read_only, max_seed_prime_for, primes_up_to)
 from .signatures import potential_twin_mask
 
 DEFAULT_FACTOR_BUDGET = 510_510
@@ -64,15 +64,17 @@ def _window_words(p: Primorial):
     """Per prime-sieve window up to p.value, (lo, size, words): rows 0 and 1
     hold the potential-prime (no core factor) and prime flags of 2i + 1, i in
     lo .. lo + size - 1, flag i at bit i % 64 of little-endian 64-bit word
-    i // 64, and 0 past the last flag."""
-    classes = _seed_classes(p.prime_factors)
+    i // 64, and 0 past the last flag. The potential row is 0xFF bytes with
+    the odd core seeds' packed patterns ANDed in."""
+    patterns = _byte_patterns(p.prime_factors, "little")
     for lo, bits in _prime_windows(p.value):
         size = min(8 * bits.size, (p.value + 1) // 2 - lo)
-        potential = np.ones(size, dtype=bool)
-        _clear_classes(potential, lo, classes)
         words = np.zeros((2, -(-size // 64)), dtype="<u8")
         potential_row, prime_row = words.view(np.uint8)
-        potential_row[: bits.size] = np.packbits(potential, bitorder="little")
+        potential = potential_row[: bits.size]
+        potential.fill(0xFF)
+        _and_patterns(potential, lo // 8, patterns)
+        potential[-1] &= 0xFF >> (-size % 8)  # clear the padding bits after the last flag
         _BIT_REVERSED.take(bits, out=prime_row[: bits.size])
         yield lo, size, words
 
@@ -137,9 +139,11 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     members, found = np.empty(sum(int(np.bitwise_count(w).sum()) for _, w in windows), dtype=np.int64), 0
     for lo, words in windows:
         bits = words.view(np.uint8)
-        for a in range(0, bits.size, 1 << 12):  # 2^15 flags at a time, so their indices stay small
-            at = np.flatnonzero(np.unpackbits(bits[a : a + (1 << 12)], bitorder="little").view(bool))
-            members[found : found + at.size] = 2 * (at + lo + 8 * a) + 1  # index i holds 2i + 1
+        for a in range(0, bits.size, 1 << 14):  # 2^17 flags at a time, so the unpacked bools stay small
+            at = np.flatnonzero(np.unpackbits(bits[a : a + (1 << 14)], bitorder="little").view(bool))
+            out = members[found : found + at.size]
+            np.multiply(at, 2, out=out)
+            out += 2 * (lo + 8 * a) + 1  # index i holds 2i + 1
             found += at.size
     return NewCompositeSet(p, members)
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetError, DomainError
 from .primes import (
     DEFAULT_PRIMALITY_BUDGET,
+    _LADDER,
+    _shared_table,
     largest_primorial_at_most,
     max_seed_prime_for,
     next_prime,
@@ -206,17 +209,18 @@ class GoldbachSolution:
 def goldbach_solve(E: int) -> GoldbachSolution:
     """Produce one pair for E and report which solution case found it.
 
-    The pair is the least Goldbach pair: p1 = 2k + 1 walks up the table's odd
-    flags from 3, a short scan since the least Goldbach prime stays below
-    10^4 up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math. Comp. 83 (2014)).
-    The mismatch filter holds exactly the pairs with k below _mismatch_end, so
-    the least pair passed it exactly when its k does, and is then its least.
+    The pair is the least Goldbach pair: p1 = 2k + 1 walks up the shared
+    table's odd flags from 3, a short scan since the least Goldbach prime
+    stays below 10^4 up to 4e18 (Oliveira e Silva, Herzog & Pardi, Math.
+    Comp. 83 (2014)). The mismatch filter holds exactly the pairs with k
+    below _mismatch_end, so the least pair passed it exactly when its k does,
+    and is then its least.
     """
     _check_even(E)
-    table = primes_up_to(E)
-    if table.is_prime(E // 2):
-        return GoldbachSolution(GoldbachPair(E, E // 2, E // 2), "case-1")
-    flags, h = table.odd_prime_mask(), E // 2 - 1  # h - k is the odd index of E - p1
+    flags, half = _shared_table(E).odd_prime_mask(), E // 2
+    if half % 2 and flags[half // 2]:  # E/2 >= 3 is an odd prime
+        return GoldbachSolution(GoldbachPair(E, half, half), "case-1")
+    h = half - 1  # h - k is the odd index of E - p1
     for k in range(1, (E + 2) // 4):
         if flags[k] and flags[h - k]:
             break
@@ -229,12 +233,18 @@ def goldbach_solve(E: int) -> GoldbachSolution:
     # the divergence of an empty filter is flagged rather than hidden
     note = "" if filtered else "mismatch filter empty; pair found by direct enumeration"
     # Scaffold existence path, anchored at the largest primorial <= E.
-    A = largest_primorial_at_most(E)
-    P_B = max_seed_prime_for(A.value)
-    P_Z = next_prime(P_B)
-    return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2b", A_value=A.value,
-                            B_largest_factor=P_B, P_Z=P_Z, scaffold_certified=P_Z * P_Z > A.value,
+    A = largest_primorial_at_most(E).value
+    P_B, P_Z = _scaffold_anchor(A)
+    return GoldbachSolution(GoldbachPair(E, p1, E - p1), "case-2b", A_value=A,
+                            B_largest_factor=P_B, P_Z=P_Z, scaffold_certified=P_Z * P_Z > A,
                             note=note)
+
+
+@lru_cache(maxsize=len(_LADDER))  # one entry per ladder primorial
+def _scaffold_anchor(primorial: int) -> tuple[int, int]:
+    """(P_B, P_Z) of a primorial A: its largest seed and the prime after it."""
+    P_B = max_seed_prime_for(primorial)
+    return P_B, next_prime(P_B)
 
 
 def figure2_slopes(upper: int = 210) -> dict[int, tuple[float, float]]:

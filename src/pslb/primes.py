@@ -174,11 +174,7 @@ def _prime_windows(limit: int):
         if lo == 0:  # the flags of 1, 3, 5, ..., 13
             window[:7] = (False, True, True, True, False, True, True)[: hi]
         bits = np.packbits(window)
-        for period, pattern in patterns:
-            phase, n = pattern[lo // 8 % period :], bits.size // period * period
-            rows = bits[:n].reshape(-1, period)  # a view of bits, ANDed in place
-            rows &= phase[:period]
-            bits[n:] &= phase[: bits.size - n]
+        _and_patterns(bits, lo // 8, patterns)
         head = back[lo // 8 : lo // 8 + bits.size]
         bits[: head.size] |= head
         yield lo, bits
@@ -195,21 +191,44 @@ def _presieve() -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...], np.ndar
       the group, packed as the windows are;
     - the strided seeds: the primes from 211 below _SEED_REACH.
     """
+    patterns = _byte_patterns(_PATTERN_PRIMES, "big")
+    wheel = seed_free_odd_mask(0, 2 * _WHEEL - 1, (3, 5, 7, 11, 13))
+    first = _PATTERN_PRIMES[-1] + 2  # 201, whose index is first // 2
+    free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, (3, 5, 7, 11, 13) + _PATTERN_PRIMES)
+    return _read_only(wheel), patterns, _read_only(2 * np.flatnonzero(free) + first)
+
+
+@lru_cache(maxsize=2)
+def _byte_patterns(seeds: tuple[int, ...], bitorder: str) -> tuple[tuple[int, np.ndarray], ...]:
+    """(P, pattern) per greedy group of the odd seeds whose product P is at
+    most _PATTERN_BYTES: the flags of the odd integers free of the group
+    repeat every P bytes, and pattern holds two periods (2P bytes, read-only)
+    of them packed 8 to a byte in bitorder ("big" or "little")."""
     groups = [[]]
-    for q in _PATTERN_PRIMES:
+    for q in seeds:
+        if q == 2:
+            continue
         if math.prod(groups[-1]) * q > _PATTERN_BYTES:
             groups.append([])
         groups[-1].append(q)
     patterns = []
-    for group in groups:
+    for group in filter(None, groups):
         period = math.prod(group)
         keep = np.ones(8 * period, dtype=bool)  # 8P flags, a period of P bytes
         _clear_classes(keep, 0, _seed_classes(group))
-        patterns.append((period, _read_only(np.tile(np.packbits(keep), 2))))
-    wheel = seed_free_odd_mask(0, 2 * _WHEEL - 1, (3, 5, 7, 11, 13))
-    first = _PATTERN_PRIMES[-1] + 2  # 201, whose index is first // 2
-    free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, (3, 5, 7, 11, 13) + _PATTERN_PRIMES)
-    return _read_only(wheel), tuple(patterns), _read_only(2 * np.flatnonzero(free) + first)
+        patterns.append((period, _read_only(np.tile(np.packbits(keep, bitorder=bitorder), 2))))
+    return tuple(patterns)
+
+
+def _and_patterns(bits: np.ndarray, at: int, patterns) -> None:
+    """AND each (P, pattern) of _byte_patterns into the packed flags bits,
+    whose first byte is byte `at` of the odd integers: one pass of rows of
+    P bytes, from the pattern's byte at % P."""
+    for period, pattern in patterns:
+        phase, n = pattern[at % period :], bits.size // period * period
+        rows = bits[:n].reshape(-1, period)  # a view of bits, ANDed in place
+        rows &= phase[:period]
+        bits[n:] &= phase[: bits.size - n]
 
 
 def _sieve_bits(limit: int) -> np.ndarray:

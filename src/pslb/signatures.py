@@ -1,9 +1,10 @@
 """Modular signatures: residue sequences, CRT reconstruction, classification."""
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -38,11 +39,41 @@ class _SeedTuple(NamedTuple):
     array: np.ndarray  # the seeds as a read-only int64 array
 
 
-@lru_cache(maxsize=8)
+def _identity_first(fn):
+    """fn of one tuple, memoised by an lru_cache(maxsize=8) behind a one-entry
+    lookup by identity: a call with the very tuple of the last call returns
+    its value without hashing it (23# has 1,748 seeds).
+
+    A call that raises stores nothing. cache_info is the lru_cache's, and
+    cache_clear clears both.
+    """
+    cached = lru_cache(maxsize=8)(fn)
+    last = (None, None)  # (tuple, value), read and replaced whole
+
+    @wraps(fn)
+    def lookup(key: tuple):
+        nonlocal last
+        seen, value = last
+        if key is not seen:
+            value = cached(key)
+            last = key, value
+        return value
+
+    def cache_clear() -> None:
+        nonlocal last
+        last = (None, None)
+        cached.cache_clear()
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cache_clear
+    return lookup
+
+
+@_identity_first
 def _check_seeds(seeds: tuple) -> _SeedTuple:
     """The record of a seed tuple, keyed on the tuple as passed; an invalid
-    tuple raises on every call."""
-    ints = tuple(int(s) for s in seeds)
+    tuple raises on every call. A tuple of exact ints is kept as the
+    record's own, so signatures over it carry that very tuple."""
+    ints = seeds if all(type(s) is int for s in seeds) else tuple(int(s) for s in seeds)
     if not ints:
         raise DomainError("seed prime list is empty")
     if list(ints) != sorted(set(ints)):
@@ -68,17 +99,35 @@ def signature(z: int, seeds) -> ModularSignature:
     return ModularSignature(z, rec.ints, residues)
 
 
-@lru_cache(maxsize=8)
+# Moduli per block of _garner_basis: a block's product of 14-bit seeds is
+# about 700 bits, so walking it stays in small integers.
+_BASIS_BLOCK = 48
+
+
+@_identity_first
 def _garner_basis(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray | None]:
     """M_k^-1 mod m_k for each modulus m_k, M_k the product of the moduli
     before it, and the moduli as an int64 array when each is a positive int64.
 
-    pow raises ValueError when the moduli are not coprime.
+    M_k mod m_k comes from one remainder per block of _BASIS_BLOCK moduli,
+    r = M mod (the block's product) with M the product of the moduli before
+    the block, walked through the block as r = r * m_k mod that product: one
+    level of a remainder tree (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 10). A block whose product is zero or not an int walks the
+    full products instead. Either way pow raises ValueError at the first
+    modulus not coprime to those before it, and % ZeroDivisionError at a zero
+    modulus, whichever comes first.
     """
     inverses, prefix = [], 1
-    for m in moduli:
-        inverses.append(pow(prefix % m, -1, m))
-        prefix *= m
+    for i in range(0, len(moduli), _BASIS_BLOCK):
+        block = moduli[i : i + _BASIS_BLOCK]
+        span = math.prod(block)
+        reduce = type(span) is int and span != 0
+        r = prefix % span if reduce else prefix
+        for m in block:
+            inverses.append(pow(r % m, -1, m))
+            r = r * m % span if reduce else r * m
+        prefix *= span
     try:
         moduli_array = np.array(moduli, dtype=np.int64)
     except OverflowError:

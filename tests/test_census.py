@@ -437,3 +437,38 @@ def test_census_of_19_primorial_cycles_in_23_primorial():
     assert prime_count_via_eq3(p23, budget=p23.value) == 12_283_531
     # 23# is past the primality budget: its words are streamed, never kept
     assert census._kept_words.cache_info().currsize == 0
+
+
+# -- the potential-prime rows from packed core patterns -----------------------
+
+def _row_bits(words, row):
+    """The flags of one row of a window's words, least significant bit first."""
+    return np.unpackbits(words[row].view(np.uint8), bitorder="little").view(bool)
+
+
+def assert_potential_rows(windows, p):
+    """Each window's potential row holds the odd integers free of p's core
+    seeds, and neither row sets a bit past the window's last flag."""
+    for lo, size, words in windows:
+        want = primes.seed_free_odd_mask(lo, lo + size - 1, p.prime_factors)
+        for row in (0, 1):
+            assert not _row_bits(words, row)[size:].any(), (p.value, lo, row)
+        assert np.array_equal(_row_bits(words, 0)[:size], want), (p.value, lo)
+
+
+# windows of 8, 72 and 136 flags end in a part-filled byte and word; a
+# primorial is taken at a window width only when it spans at most 4096 windows
+@pytest.mark.parametrize("window", [8, 72, 136, 1 << 20])
+def test_potential_rows_equal_the_seed_free_mask(window, monkeypatch):
+    monkeypatch.setattr(primes, "_WINDOW", window)
+    for k in range(2, 9):  # 3# to 19#
+        p = nth_primorial(k)
+        if p.value // 2 <= 4096 * window:
+            assert_potential_rows(census._window_words(p), p)
+    p23 = nth_primorial(9)
+    first = next(census._window_words(p23))
+    assert_potential_rows([first], p23)
+    if window == 1 << 20:  # 106 windows; the last one is part-filled
+        *_, last = census._window_words(p23)
+        assert last[1] < window
+        assert_potential_rows([last], p23)

@@ -403,3 +403,16 @@ def test_small_reads_after_a_large_table_build_no_prime_array(monkeypatch):
         assert primes._table._primes is None
     finally:
         primes_up_to.cache_clear()
+
+
+def test_solver_never_consults_prime_table_views(monkeypatch):
+    # the solver reads the shared table's odd flags, not primes_up_to's views
+    sweep = list(range(6, 4001, 2)) + [99_998, 510_512, 999_990]
+    rows = [solution_row(E) for E in sweep]
+
+    def no_view(limit):
+        raise AssertionError(f"primes_up_to({limit})")
+
+    monkeypatch.setattr(goldbach, "primes_up_to", no_view)
+    goldbach._scaffold_anchor.cache_clear()
+    assert [solution_row(E) for E in sweep] == rows

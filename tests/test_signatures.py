@@ -1,5 +1,6 @@
 """Signature, CRT and classification tests."""
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -503,3 +504,111 @@ def test_seed_tuple_is_checked_once(monkeypatch):
     for z in (1, 2291, 123_456_789):
         assert signature(z, seeds).residues == tuple(z % s for s in seeds)
     assert lookups == [seeds[-1]]
+
+
+# -- the blocked Garner basis against a plain walk -----------------------------
+
+def plain_basis(moduli):
+    """Oracle: M_k^-1 mod m_k with M_k mod m_k taken from the full product,
+    and the moduli array as _garner_basis builds it."""
+    inverses, prefix = [], 1
+    for m in moduli:
+        inverses.append(pow(prefix % m, -1, m))
+        prefix *= m
+    try:
+        moduli_array = np.array(moduli, dtype=np.int64)
+    except OverflowError:
+        return tuple(inverses), None
+    return tuple(inverses), moduli_array if moduli_array.min() >= 1 else None
+
+
+def outcome(basis, moduli):
+    """basis(moduli) as plain values, or the type of what it raised."""
+    try:
+        inverses, moduli_array = basis(moduli)
+    except Exception as exc:  # the type is compared, whichever it is
+        return type(exc)
+    return inverses, None if moduli_array is None else moduli_array.tolist()
+
+
+BLOCK = signatures._BASIS_BLOCK
+EDGE_LENGTHS = sorted({0, 1, 31, 32, 33, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1,
+                       2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 300})
+ODD_MODULI = [0, 1, -1, -7, -19_997, 2**61 - 1, 2**64 + 13, 2**89 - 1, 6, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_blocked_basis_equals_the_plain_walk(data):
+    n = data.draw(st.sampled_from(EDGE_LENGTHS) | st.integers(0, 300), label="n")
+    moduli = sorted(data.draw(st.lists(st.sampled_from(PRIMES_BELOW_20000), min_size=n, max_size=n,
+                                       unique=True), label="primes"))
+    # odd moduli land anywhere, block edges included: zero, signs, past 2^63,
+    # composites and repeats
+    for _ in range(data.draw(st.integers(0, 3), label="odd")):
+        if not moduli:
+            break
+        i = data.draw(st.integers(0, len(moduli) - 1), label="at")
+        moduli[i] = data.draw(st.sampled_from(ODD_MODULI) | st.sampled_from(moduli), label="modulus")
+    moduli = tuple(moduli)
+    got = outcome(signatures._garner_basis.__wrapped__, moduli)
+    assert got == outcome(plain_basis, moduli)
+
+
+@pytest.mark.parametrize("moduli", [
+    (3, 0, 5), (6, 4, 0), (0,), (1, -1, 5), (-5, 7), (True, 3), (3, 3),
+    (3.0, 5.0), (4, 6, 3.0), (np.int64(3), np.int64(5)),
+    tuple(PRIMES_BELOW_20000[:BLOCK]) + (0,), tuple(PRIMES_BELOW_20000[:BLOCK - 1]) + (6, 0),
+])
+def test_blocked_basis_matches_the_plain_walk_on_edge_moduli(moduli):
+    got = outcome(signatures._garner_basis.__wrapped__, moduli)
+    assert got == outcome(plain_basis, moduli)
+
+
+# -- seed records and bases found by identity ---------------------------------
+
+def test_repeated_queries_hash_no_seed_tuple():
+    sps = seed_prime_set(nth_primorial(9))
+    seeds = sps.all_seeds
+    signatures._check_seeds.cache_clear()
+    signatures._garner_basis.cache_clear()
+
+    def query(z):
+        sig = signature(z, seeds)
+        assert sig.seed_primes is seeds  # the caller's tuple of exact ints is kept
+        return sig, crt_reconstruct(sig), classify(z, sps)
+
+    query(1)
+    info = signatures._check_seeds.cache_info(), signatures._garner_basis.cache_info()
+    for z in (2291, 123_456_789, sps.primorial.value - 1):
+        sig, back, _ = query(z)
+        assert back == z
+    assert (signatures._check_seeds.cache_info(), signatures._garner_basis.cache_info()) == info
+    expected = signature(2291, seeds)
+    for other in (tuple(list(seeds)), list(seeds), np.array(seeds)):
+        assert signature(2291, other) == expected
+        assert crt_reconstruct(signature(2291, other)) == 2291
+
+
+
+def test_identity_lookups_from_many_threads_never_mix_tuples():
+    # four threads alternate two tuples on each lookup, so the one-entry
+    # identity slots change hands between any two bytecodes; a slot whose
+    # tuple and value were stored apart would hand one tuple the other's value
+    pairs = [(2, 3, 5), (2, 3, 7)], [(3, 5, 7), (5, 7, 11)]
+
+    def lookups(i):
+        for j in range(60_000):
+            seeds, moduli = pairs[0][(i + j) % 2], pairs[1][(i + j) % 2]
+            assert signatures._check_seeds(seeds).ints == seeds
+            assert signatures._garner_basis(moduli)[1].tolist() == list(moduli)
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lookups, i) for i in range(4)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
