@@ -68,7 +68,11 @@ def _cfg(scale_config) -> dict:
             return SCALES[scale_config]
         except KeyError:
             raise DomainError(f"unknown scale {scale_config!r}; use small|default|large")
-    return dict(scale_config)
+    cfg, keys = dict(scale_config), SCALES["default"].keys()
+    if cfg.keys() != keys:
+        raise DomainError(f"scale config keys: missing {sorted(keys - cfg.keys())}, "
+                          f"unknown {sorted(map(repr, cfg.keys() - keys))}")
+    return cfg
 
 
 def _duplicate_rows(rows: np.ndarray) -> int:

@@ -104,7 +104,7 @@ def _cmd_figure(args) -> tables.TableData:
 
 
 def _cmd_signature(args) -> tables.TableData:
-    if args.seeds:
+    if args.seeds is not None:  # an empty --seeds is refused, not ignored
         seeds = tuple(_parse_int("each --seeds entry", s) for s in args.seeds.split(","))
         sig = signature(args.z, seeds)
         rows = [[p, r] for p, r in zip(sig.seed_primes, sig.residues)]

@@ -3,8 +3,8 @@
 Every mask indexes the odd integers (index i holds 2i + 1): every residue
 mask is one `seed_free_odd_mask` over `residue_sieve`, the strided class
 kernel, and the prime flags one segmented sieve, `_prime_windows`, whose
-windows take the seeds up to 199 from cached patterns and clear each larger
-one from its square.
+windows clear each seed from 211 up from its square and then take the seeds
+3 to 199 from one list of cached byte patterns.
 One module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
 and `next_prime` read its odd flags; it is re-sieved, at least doubled and at
 most to the primality budget, only when a limit past its end is asked for. A
@@ -16,6 +16,7 @@ primorials, built at import by trial division, serves every primorial lookup.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
@@ -63,14 +64,13 @@ def is_prime(n: int) -> bool:
 # Integers per residue-sieve window: 1 MB of flags, about one L2 cache, so each
 # class's strided pass stays in cache instead of going out to main memory.
 _WINDOW = 1 << 20
-_WHEEL = 3 * 5 * 7 * 11 * 13  # odd integers per period of the small seeds' multiples
-# The odd seeds 17 to 199 are removed from each packed window by ANDing in
+# The odd seeds 3 to 199 are removed from each packed window by ANDing in
 # patterns, as primesieve's PreSieve does (K. Walisch): the seeds in greedy
-# groups whose product, a pattern's period in bytes, is at most _PATTERN_BYTES.
-# Larger seeds clear strided slices: at 1e8, removing 211 to 359 as well saves
-# about what the AND passes of their 13 pair patterns cost (8 ms), and past 359
-# a group holds one seed.
-_PATTERN_PRIMES = tuple(filter(is_prime, range(17, 200)))
+# groups whose product, a pattern's period in bytes, is at most _PATTERN_BYTES
+# (3 * 5 * 7 * 11 * 13, then 17 * 19 * 23, ...). Larger seeds clear strided
+# slices: at 1e8, removing 211 to 359 as well saves about what the AND passes
+# of their 13 pair patterns cost (8 ms), and past 359 a group holds one seed.
+_PATTERN_PRIMES = tuple(filter(is_prime, range(3, 200)))
 _PATTERN_BYTES = 1 << 17
 # Below 211**2 (211 is the least prime past the patterns) every odd integer
 # free of 3 to 199 is prime, so one pre-sieve gives the strided seeds of every
@@ -86,18 +86,22 @@ def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> n
     BIT 17 (1977), but by class: each forbidden class clears one strided
     slice per window of _WINDOW integers from its first member in it, so the
     cost is O((hi - lo) * sum(|R_q| / q)). A window past the primality
-    budget raises BudgetError before anything is allocated.
+    budget raises BudgetError before anything is allocated; a modulus below
+    1, or a modulus or class that is not an integer, raises DomainError.
     """
     size = max(hi - lo + 1, 0)
     if size > DEFAULT_PRIMALITY_BUDGET:
         raise BudgetError(f"residue window of {size} integers exceeds primality budget "
                           f"{DEFAULT_PRIMALITY_BUDGET}")
-    for q in forbidden:
-        if q < 1:
-            raise DomainError(f"residue modulus must be >= 1, got {q}")
-    keep = np.ones(size, dtype=bool)
-    for w in range(0, size, _WINDOW):
-        _clear_classes(keep[w : w + _WINDOW], lo + w, forbidden)
+    try:  # a modulus or class that is not an integer fails here, in an empty window too
+        for q in forbidden:
+            if operator.index(q) < 1:
+                raise DomainError(f"residue modulus must be >= 1, got {q}")
+        keep = np.ones(size, dtype=bool)
+        for w in range(0, max(size, 1), _WINDOW):
+            _clear_classes(keep[w : w + _WINDOW], lo + w, forbidden)
+    except TypeError:
+        raise DomainError("residue moduli and classes must be integers") from None
     return keep
 
 
@@ -140,20 +144,18 @@ def _prime_windows(limit: int):
     2i + 1 for i from lo 8 to a byte, most significant bit first, as a cache
     file's body does, with 0 in the padding bits after the last flag.
 
-    A window starts as a bool copy of the odd integers free of 3 to 13, which
-    repeat every _WHEEL of them (window 0 then sets 3 to 13 back and clears
-    1); each prime q from 211 to sqrt(limit) clears its odd multiples from
-    q*q on (Bays & Hudson), skipping windows below q*q.
-    The window is then packed, each pattern of the seeds 17 to 199 is ANDed
-    in from its byte (lo // 8) % P, and each such seed up to limit is set
-    back. A pattern seed past sqrt(limit) clears only composites and itself,
-    so the same patterns serve every limit.
+    A window starts all set; each prime q from 211 to sqrt(limit) clears its
+    odd multiples from q*q on (Bays & Hudson), skipping windows below q*q.
+    The window is then packed, each pattern of the seeds 3 to 199 is ANDed in
+    from its byte (lo // 8) % P, each such seed up to limit is set back, and
+    window 0 clears the flag of 1. A pattern seed past sqrt(limit) clears
+    only composites and itself, so the same patterns serve every limit.
     Windows hold _WINDOW flags rounded up to whole bytes, so each packs alone.
     """
     root = math.isqrt(limit)
     if root >= _SEED_REACH:
         raise BudgetError(f"sieve limit {limit} needs seeds past {_SEED_REACH}")
-    wheel, patterns, seeds = _presieve()
+    patterns, seeds = _presieve()
     seeds = seeds[: np.searchsorted(seeds, root, side="right")]
     squares = seeds * seeds // 2  # the odd index of each q*q, ascending
     back = np.zeros(_PATTERN_PRIMES[-1] // 2 + 1, dtype=bool)
@@ -165,14 +167,11 @@ def _prime_windows(limit: int):
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         window = buffer[: hi - lo]
-        phase, n = wheel[lo % _WHEEL :], (hi - lo) // _WHEEL * _WHEEL
-        window[:n].reshape(-1, _WHEEL)[:] = phase[:_WHEEL]
-        window[n:] = phase[: hi - lo - n]
+        window.fill(True)
+        window[0] = lo > 0  # the flag of 1, in window 0, is the one no seed clears
         live = seeds[: np.searchsorted(squares, hi)]  # each from q*q, or its first odd multiple past lo
         for q, at in zip(live.tolist(), np.maximum(squares[: live.size] - lo, (live // 2 - lo) % live).tolist()):
             window[at::q] = False
-        if lo == 0:  # the flags of 1, 3, 5, ..., 13
-            window[:7] = (False, True, True, True, False, True, True)[: hi]
         bits = np.packbits(window)
         _and_patterns(bits, lo // 8, patterns)
         head = back[lo // 8 : lo // 8 + bits.size]
@@ -181,21 +180,17 @@ def _prime_windows(limit: int):
 
 
 @lru_cache(maxsize=1)
-def _presieve() -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...], np.ndarray]:
+def _presieve() -> tuple[tuple[tuple[int, np.ndarray], ...], np.ndarray]:
     """What every sieve starts from, read-only and built once per process:
 
-    - the bool flags of the odd integers free of 3 to 13 over two periods,
-      2 * _WHEEL of them, so _WHEEL follow any phase;
     - (P, pattern) per greedy group of _PATTERN_PRIMES: P is the group's
       product and pattern two periods (2P bytes) of the odd integers free of
       the group, packed as the windows are;
     - the strided seeds: the primes from 211 below _SEED_REACH.
     """
-    patterns = _byte_patterns(_PATTERN_PRIMES, "big")
-    wheel = seed_free_odd_mask(0, 2 * _WHEEL - 1, (3, 5, 7, 11, 13))
     first = _PATTERN_PRIMES[-1] + 2  # 201, whose index is first // 2
-    free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, (3, 5, 7, 11, 13) + _PATTERN_PRIMES)
-    return _read_only(wheel), patterns, _read_only(2 * np.flatnonzero(free) + first)
+    free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, _PATTERN_PRIMES)
+    return _byte_patterns(_PATTERN_PRIMES, "big"), _read_only(2 * np.flatnonzero(free) + first)
 
 
 @lru_cache(maxsize=2)

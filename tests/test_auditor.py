@@ -63,6 +63,20 @@ def test_explicit_scale_config_dict():
     assert "100" in rep.scope
 
 
+@pytest.mark.parametrize("change, named", [
+    (lambda cfg: cfg.clear(), "t1_limit"),
+    (lambda cfg: cfg.pop("t9_range"), "t9_range"),
+    (lambda cfg: cfg.update(t8_uper=100), "t8_uper"),
+    (lambda cfg: cfg.update({7: 1}), "7"),
+])
+def test_scale_config_dict_with_missing_or_unknown_keys(change, named):
+    cfg = dict(auditor.SCALES["small"])
+    change(cfg)
+    for run in (lambda: auditor.audit("T1", cfg), lambda: auditor.audit_all(cfg)):
+        with pytest.raises(DomainError, match=named):
+            run()
+
+
 def test_report_failure_marking():
     rep = auditor.ClaimReport("X", "scope", auditor.PASS)
     rep.counterexamples.append("bad")

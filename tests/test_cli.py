@@ -335,7 +335,7 @@ def test_signature_over_seed_budget_exits_2(capsys):
     assert "budget exceeded" in err
 
 
-@pytest.mark.parametrize("seeds", ["2,x", ","])
+@pytest.mark.parametrize("seeds", ["2,x", ",", ""])
 def test_signature_non_integer_seeds_exits_1(capsys, seeds):
     code, out, err = run(capsys, "signature", "2291", "--seeds", seeds)
     assert code == 1

@@ -582,6 +582,23 @@ def check_every_sieve_against_plain(limit, path):
 PATTERN_EDGE_SEEDS = primes._PATTERN_PRIMES + (211,)  # 211: the first seed cleared stride by stride
 
 
+def test_pattern_seeds_are_every_odd_seed_below_211():
+    assert PATTERN_EDGE_SEEDS == tuple(q for q in range(3, 212, 2) if is_prime(q))
+    assert primes._presieve()[0][0][0] == 3 * 5 * 7 * 11 * 13  # the first pattern's period
+
+
+@pytest.mark.parametrize("window, last", [(primes._WINDOW, 2_100), (8, 450)])
+def test_every_small_limit_equals_the_plain_sieve(window, last):
+    # each limit sets back the pattern seeds up to it and clears 1; with
+    # 8-flag windows the seeds 3 to 199 fall in windows 0 to 12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_WINDOW", window)
+        for limit in range(2, last + 1):
+            flags = plain_odd_flags(limit)
+            assert np.array_equal(sieve_odd_flags(limit), flags), limit
+            assert np.array_equal(PrimeTable.packed(limit)._bitset(), np.packbits(flags)), limit
+
+
 @pytest.mark.parametrize("window", [8, 9, 64, primes._WINDOW])
 def test_pattern_seeds_at_their_own_flags(tmp_path, window):
     # a pattern seed q is set back from limit q on, in whichever window holds
@@ -611,16 +628,17 @@ def test_pattern_seeds_at_their_squares(tmp_path, window):
 def test_a_second_packed_table_builds_no_pattern():
     PrimeTable.packed(1000)  # NumPy's own first-call allocations, outside the traces
     primes._presieve.cache_clear()
+    primes._byte_patterns.cache_clear()  # else the first build finds its patterns cached
     first = traced_peak(lambda: PrimeTable.packed(10**6))
     second = traced_peak(lambda: PrimeTable.packed(10**6))
-    pattern_bytes = sum(pattern.nbytes for _, pattern in primes._presieve()[1])
+    pattern_bytes = sum(pattern.nbytes for _, pattern in primes._presieve()[0])
     assert 2**19 < pattern_bytes < 2**20
     assert second < first - pattern_bytes // 2
 
 
 def test_strided_seeds_reach_every_limit_below_211_to_the_fourth():
     # the cached strided seeds are the primes from 211 below 211**2
-    seeds = primes._presieve()[2]
+    seeds = primes._presieve()[1]
     odd_primes = 2 * np.flatnonzero(plain_odd_flags(211 * 211 - 1)) + 1
     assert np.array_equal(seeds, odd_primes[odd_primes >= 211])
     lo, bits = next(primes._prime_windows(211**4 - 1))  # the largest limit it takes: its first window

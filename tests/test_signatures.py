@@ -246,6 +246,21 @@ def test_residue_sieve_rejects_bad_modulus():
         residue_sieve(5, 4, {-3: (0,)})  # an empty window checks its moduli too
 
 
+@pytest.mark.parametrize("forbidden", [
+    {3: [1.5]}, {3.0: [1]}, {3: [1.0]}, {3: ["1"]}, {3: 1}, {3: [None]}, {2.5: []}, {"3": [1]},
+    {3: [1], 5: [np.float64(2)]},
+])
+@pytest.mark.parametrize("lo, hi", [(0, 10), (5, 4)])  # an empty window checks them too
+def test_residue_sieve_rejects_non_integer_classes(forbidden, lo, hi):
+    with pytest.raises(DomainError):
+        residue_sieve(lo, hi, forbidden)
+
+
+def test_residue_sieve_takes_numpy_and_bool_integers():
+    keep = residue_sieve(0, 29, {np.int64(3): [np.int32(1)], 5: [True]})
+    assert keep.tolist() == [z % 3 != 1 and z % 5 != 1 for z in range(30)]
+
+
 def test_residue_sieve_window_over_primality_budget():
     # 0..1e8 is 1e8 + 1 integers: refused before the mask is allocated
     with pytest.raises(BudgetError):
