@@ -1,5 +1,10 @@
 """Counting layer: totients, potential-solution products, new composites,
-prime-count formulas and per-cycle censuses."""
+prime-count formulas and per-cycle censuses.
+
+The census reads each prime-sieve window's packed bytes as they are (flags
+most significant bit first, the one packed layout of `pslb.primes`), next to
+a potential-prime row of the odd core seeds' byte patterns, as big-endian
+64-bit words: flag i of a window is bit 63 - i % 64 of word i // 64."""
 from __future__ import annotations
 
 import math
@@ -54,29 +59,23 @@ class NewCompositeSet:
         return int(self.members[0]) if len(self.members) else None
 
 
-# each byte with its bits in reverse order: a prime-sieve window packs its
-# flags most significant bit first, the census words least significant first
-_BIT_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
-                            axis=1, bitorder="little").ravel()
-
-
 def _window_words(p: Primorial):
     """Per prime-sieve window up to p.value, (lo, size, words): rows 0 and 1
     hold the potential-prime (no core factor) and prime flags of 2i + 1, i in
-    lo .. lo + size - 1, flag i at bit i % 64 of little-endian 64-bit word
-    i // 64, and 0 past the last flag. The potential row is 0xFF bytes with
-    the odd core seeds' packed patterns ANDed in."""
-    patterns = _byte_patterns(p.prime_factors, "little")
+    lo .. lo + size - 1, as native 64-bit words read big-endian from the
+    packed bytes, so flag i is bit 63 - i % 64 of word i // 64, and 0 past
+    the last flag. The prime row is the window's bytes as sieved; the
+    potential row is 0xFF bytes with the odd core seeds' patterns ANDed in."""
+    patterns = _byte_patterns(p.prime_factors)
     for lo, bits in _prime_windows(p.value):
         size = min(8 * bits.size, (p.value + 1) // 2 - lo)
-        words = np.zeros((2, -(-size // 64)), dtype="<u8")
-        potential_row, prime_row = words.view(np.uint8)
-        potential = potential_row[: bits.size]
+        rows = np.zeros((2, -(-size // 64) * 8), dtype=np.uint8)
+        rows[1, : bits.size] = bits
+        potential = rows[0, : bits.size]
         potential.fill(0xFF)
         _and_patterns(potential, lo // 8, patterns)
-        potential[-1] &= 0xFF >> (-size % 8)  # clear the padding bits after the last flag
-        _BIT_REVERSED.take(bits, out=prime_row[: bits.size])
-        yield lo, size, words
+        potential[-1] &= 0xFF << (-size % 8) & 0xFF  # clear the padding bits after the last flag
+        yield lo, size, rows.view(">u8").astype(np.uint64)
 
 
 @lru_cache(maxsize=1)
@@ -92,32 +91,32 @@ def _census_fold(p: Primorial, width: int, budget: int) -> np.ndarray:
 
     A new composite is a potential prime that is neither prime nor 1. A twin
     anchor o2 >= 5 is potential when o2 - 2 and o2 are, and true when both are
-    prime: each flag row is ANDed with itself moved up one flag, the last flag
-    of the window before carried in. A window's count up to a flag is the
-    popcount of its words before that flag's word, from prefix sums, plus the
-    bits of that word below it.
+    prime: each flag row is ANDed with itself moved on one flag (one bit
+    down), the last flag of the window before carried in at the top. A
+    window's count up to a flag is the popcount of its words before that
+    flag's word, from prefix sums, plus the bits of that word above it.
     """
     if p.value > budget:
         raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
     if p.value > CENSUS_CEILING:
         raise BudgetError(f"primorial {p.value} exceeds census ceiling {CENSUS_CEILING} (23#)")
     counts = np.zeros((4, -(-(p.value // 2) // width)), dtype=np.int64)
-    carry = np.zeros(2, dtype="<u8")
+    carry = np.zeros(2, dtype=np.uint64)
     for lo, size, flags in _kept_words(p) if p.value <= DEFAULT_PRIMALITY_BUDGET else _window_words(p):
-        up = flags << np.uint64(1)
-        up[:, 1:] |= flags[:, :-1] >> np.uint64(63)
-        up[:, 0] |= carry
-        carry = flags[:, -1] >> np.uint64((size - 1) % 64) & np.uint64(1)
+        up = flags >> np.uint64(1)
+        up[:, 1:] |= flags[:, :-1] << np.uint64(63)
+        up[:, 0] |= carry << np.uint64(63)
+        carry = flags[:, -1] >> np.uint64(63 - (size - 1) % 64) & np.uint64(1)
         (pp, prime), pt = flags, flags[0] & up[0]
         words = np.stack([pp, pt, pt & prime & up[1], pp & ~prime])
         if lo == 0:
-            words[1:3, 0] &= ~np.uint64(3)  # anchors start at 5
-            words[3, 0] &= ~np.uint64(1)  # 1 is no composite
+            words[1:3, 0] &= ~np.uint64(3 << 62)  # anchors start at 5
+            words[3, 0] &= ~np.uint64(1 << 63)  # 1 is no composite
         s, edges = lo // width, np.arange(-(lo % width), size + width, width)
         edges[0], edges[-1] = 0, size  # the window meets segments s, s + 1, ...; s began at or before it
         before = np.zeros((4, words.shape[1] + 1), dtype=np.int64)
         np.cumsum(np.bitwise_count(words), axis=1, out=before[:, 1:])
-        q, below = edges >> 6, (np.uint64(1) << (edges & 63).astype(np.uint64)) - np.uint64(1)
+        q, below = edges >> 6, ~(~np.uint64(0) >> (edges & 63).astype(np.uint64))
         upto = before[:, q] + np.bitwise_count(words.take(q, axis=1, mode="clip") & below)
         counts[:, s : s + edges.size - 1] += np.diff(upto, axis=1)
     return counts
@@ -135,15 +134,15 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     if p.value > budget:
         raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
     windows = [(lo, words[0] & ~words[1]) for lo, _, words in _kept_words(p)]  # potential, not prime
-    windows[0][1][0] &= ~np.uint64(1)  # 1 is no composite
+    windows[0][1][0] &= ~np.uint64(1 << 63)  # 1 is no composite
     members, found = np.empty(sum(int(np.bitwise_count(w).sum()) for _, w in windows), dtype=np.int64), 0
     for lo, words in windows:
-        bits = words.view(np.uint8)
-        for a in range(0, bits.size, 1 << 14):  # 2^17 flags at a time, so the unpacked bools stay small
-            at = np.flatnonzero(np.unpackbits(bits[a : a + (1 << 14)], bitorder="little").view(bool))
+        for a in range(0, words.size, 1 << 11):  # 2^17 flags at a time, so the unpacked bools stay small
+            bits = words[a : a + (1 << 11)].astype(">u8").view(np.uint8)
+            at = np.flatnonzero(np.unpackbits(bits).view(bool))
             out = members[found : found + at.size]
             np.multiply(at, 2, out=out)
-            out += 2 * (lo + 8 * a) + 1  # index i holds 2i + 1
+            out += 2 * (lo + 64 * a) + 1  # index i holds 2i + 1
             found += at.size
     return NewCompositeSet(p, members)
 
@@ -219,10 +218,13 @@ def twin_masks(limit: int, core, odd_flags: np.ndarray) -> tuple[np.ndarray, np.
     """(potential-twin mask, true-twin mask) over the odd anchors up to limit
     (index i holds 2i + 1).
 
-    `odd_flags` are prime flags over the odd integers and reach at least limit;
-    a true twin is a potential-twin anchor o2 with o2 - 2 and o2 both prime.
+    `odd_flags` are prime flags over the odd integers and reach at least limit
+    (DomainError if they stop short); a true twin is a potential-twin anchor
+    o2 with o2 - 2 and o2 both prime.
     """
     pt = potential_twin_mask(limit, core)
+    if len(odd_flags) < len(pt):
+        raise DomainError(f"odd_flags hold {len(odd_flags)} odd integers, not the {len(pt)} up to {limit}")
     anchor_prime = odd_flags[: len(pt)]
     tt = pt & anchor_prime  # pt already excludes anchors below 5
     tt[1:] &= anchor_prime[:-1]  # o2 - 2 is the previous odd integer

@@ -1,10 +1,12 @@
 """Prime generation, primorials and the seed-prime partition.
 
-Every mask indexes the odd integers (index i holds 2i + 1): every residue
-mask is one `seed_free_odd_mask` over `residue_sieve`, the strided class
-kernel, and the prime flags one segmented sieve, `_prime_windows`, whose
-windows clear each seed from 211 up from its square and then take the seeds
-3 to 199 from one list of cached byte patterns.
+Every mask indexes the odd integers (index i holds 2i + 1), and every packed
+flag array (a sieve window, a cache file's body, a byte pattern, a census
+word) holds them 8 to a byte, most significant bit first. Every residue mask,
+each byte pattern's period included, is one `seed_free_odd_mask` over
+`residue_sieve`, the one strided class kernel; the prime flags are one
+segmented sieve, `_prime_windows`, whose windows clear each seed from 211 up
+from its square and then take the seeds 3 to 199 from cached byte patterns.
 One module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
 and `next_prime` read its odd flags; it is re-sieved, at least doubled and at
 most to the primality budget, only when a limit past its end is asked for. A
@@ -94,35 +96,26 @@ def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> n
         raise BudgetError(f"residue window of {size} integers exceeds primality budget "
                           f"{DEFAULT_PRIMALITY_BUDGET}")
     try:  # a modulus or class that is not an integer fails here, in an empty window too
-        for q in forbidden:
+        classes = []  # each class read once, so a one-shot iterable serves every window
+        for q, residues in forbidden.items():
             if operator.index(q) < 1:
                 raise DomainError(f"residue modulus must be >= 1, got {q}")
+            classes.append((q, tuple(residues)))
         keep = np.ones(size, dtype=bool)
         for w in range(0, max(size, 1), _WINDOW):
-            _clear_classes(keep[w : w + _WINDOW], lo + w, forbidden)
+            window = keep[w : w + _WINDOW]
+            for q, residues in classes:
+                for r in residues:
+                    window[(r - lo - w) % q :: q] = False
     except TypeError:
         raise DomainError("residue moduli and classes must be integers") from None
     return keep
 
 
-def _clear_classes(window: np.ndarray, start: int, forbidden: Mapping[int, Iterable[int]]) -> None:
-    """Clear the flags of window, which holds the integers from start, at
-    every forbidden class: one strided slice per class."""
-    for q, residues in forbidden.items():
-        for r in residues:
-            window[(r - start) % q :: q] = False
-
-
-def _seed_classes(seeds: Iterable[int]) -> dict[int, tuple[int]]:
-    """The index class each seed forbids over the odd integers 2i + 1: odd q
-    divides 2i + 1 exactly when i = q // 2 (mod q), 2 never."""
-    return {q: (q // 2,) for q in seeds if q != 2}
-
-
 def seed_free_odd_mask(lo: int, hi: int, seeds: Iterable[int]) -> np.ndarray:
     """Mask over the odd integers 2i + 1, i in lo..hi (inclusive), that no
-    seed divides."""
-    return residue_sieve(lo, hi, _seed_classes(seeds))
+    seed divides: odd q divides 2i + 1 exactly when i = q // 2 (mod q), 2 never."""
+    return residue_sieve(lo, hi, {q: (q // 2,) for q in seeds if q != 2})
 
 
 def _check_sieve_limit(limit: int) -> None:
@@ -190,15 +183,15 @@ def _presieve() -> tuple[tuple[tuple[int, np.ndarray], ...], np.ndarray]:
     """
     first = _PATTERN_PRIMES[-1] + 2  # 201, whose index is first // 2
     free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, _PATTERN_PRIMES)
-    return _byte_patterns(_PATTERN_PRIMES, "big"), _read_only(2 * np.flatnonzero(free) + first)
+    return _byte_patterns(_PATTERN_PRIMES), _read_only(2 * np.flatnonzero(free) + first)
 
 
 @lru_cache(maxsize=2)
-def _byte_patterns(seeds: tuple[int, ...], bitorder: str) -> tuple[tuple[int, np.ndarray], ...]:
+def _byte_patterns(seeds: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
     """(P, pattern) per greedy group of the odd seeds whose product P is at
     most _PATTERN_BYTES: the flags of the odd integers free of the group
     repeat every P bytes, and pattern holds two periods (2P bytes, read-only)
-    of them packed 8 to a byte in bitorder ("big" or "little")."""
+    of them packed as the sieve's windows are."""
     groups = [[]]
     for q in seeds:
         if q == 2:
@@ -209,9 +202,8 @@ def _byte_patterns(seeds: tuple[int, ...], bitorder: str) -> tuple[tuple[int, np
     patterns = []
     for group in filter(None, groups):
         period = math.prod(group)
-        keep = np.ones(8 * period, dtype=bool)  # 8P flags, a period of P bytes
-        _clear_classes(keep, 0, _seed_classes(group))
-        patterns.append((period, _read_only(np.tile(np.packbits(keep, bitorder=bitorder), 2))))
+        keep = seed_free_odd_mask(0, 8 * period - 1, group)  # 8P flags, a period of P bytes
+        patterns.append((period, _read_only(np.tile(np.packbits(keep), 2))))
     return tuple(patterns)
 
 

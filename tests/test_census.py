@@ -228,6 +228,15 @@ def test_twin_masks_match_arange_formula(limit):
         assert not want[1::2].any()
 
 
+@pytest.mark.parametrize("limit", [2, 3, 100, 101])
+def test_twin_masks_reject_flags_that_stop_short(limit):
+    n = (limit + 1) // 2  # the odd integers up to limit
+    for short in (0, n - 1):
+        with pytest.raises(DomainError):
+            twin_masks(limit, (2, 3, 5), np.ones(short, dtype=bool))
+    assert len(twin_masks(limit, (2, 3, 5), np.ones(n, dtype=bool))[0]) == n
+
+
 @pytest.mark.parametrize("k", range(3, 8))  # 30 (width 10 divides it) .. 510510
 def test_figure1_series_matches_reduceat(k):
     prim = nth_primorial(k)
@@ -442,8 +451,8 @@ def test_census_of_19_primorial_cycles_in_23_primorial():
 # -- the potential-prime rows from packed core patterns -----------------------
 
 def _row_bits(words, row):
-    """The flags of one row of a window's words, least significant bit first."""
-    return np.unpackbits(words[row].view(np.uint8), bitorder="little").view(bool)
+    """The flags of one row of a window's words, read as big-endian words."""
+    return np.unpackbits(words[row].astype(">u8").view(np.uint8)).view(bool)
 
 
 def assert_potential_rows(windows, p):
@@ -456,6 +465,16 @@ def assert_potential_rows(windows, p):
         assert np.array_equal(_row_bits(words, 0)[:size], want), (p.value, lo)
 
 
+def assert_prime_rows(windows, p):
+    """The census keeps the sieve's one packed layout: each window's prime
+    row is the window's bytes as `_prime_windows` yields them."""
+    sieved = list(primes._prime_windows(p.value))
+    assert [lo for lo, _ in sieved] == [lo for lo, _, _ in windows]
+    for (lo, bits), (_, _, words) in zip(sieved, windows):
+        row = words[1].astype(">u8").view(np.uint8)
+        assert row[: bits.size].tobytes() == bits.tobytes(), (p.value, lo)
+
+
 # windows of 8, 72 and 136 flags end in a part-filled byte and word; a
 # primorial is taken at a window width only when it spans at most 4096 windows
 @pytest.mark.parametrize("window", [8, 72, 136, 1 << 20])
@@ -464,7 +483,9 @@ def test_potential_rows_equal_the_seed_free_mask(window, monkeypatch):
     for k in range(2, 9):  # 3# to 19#
         p = nth_primorial(k)
         if p.value // 2 <= 4096 * window:
-            assert_potential_rows(census._window_words(p), p)
+            windows = list(census._window_words(p))
+            assert_potential_rows(windows, p)
+            assert_prime_rows(windows, p)
     p23 = nth_primorial(9)
     first = next(census._window_words(p23))
     assert_potential_rows([first], p23)

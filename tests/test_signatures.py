@@ -224,10 +224,13 @@ def test_windowed_residue_sieve_matches_brute_force(data):
         st.lists(st.integers(-200, 200), max_size=3),
         max_size=6,
     ), label="forbidden")
+    # classes given as generators are read once, yet serve every window
+    one_shot = data.draw(st.booleans(), label="one_shot")
+    given = {q: (r for r in rs) for q, rs in forbidden.items()} if one_shot else forbidden
     hi = lo + width - 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "_WINDOW", window)
-        keep = residue_sieve(lo, hi, forbidden)
+        keep = residue_sieve(lo, hi, given)
     brute = [
         all(z % q not in {r % q for r in rs} for q, rs in forbidden.items())
         for z in range(lo, hi + 1)
