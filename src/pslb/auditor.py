@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import census, goldbach, scaffold
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .primes import nth_primorial, primes_up_to, seed_prime_set, smallest_primorial_at_least
 from .signatures import certified_mask, potential_prime_mask, signature, crt_reconstruct
 
@@ -82,17 +83,39 @@ def _duplicate_rows(rows: np.ndarray) -> int:
     return int(np.count_nonzero((ordered[1:] == ordered[:-1]).all(axis=1)))
 
 
+def _duplicate_signatures(limit: int, seeds) -> int:
+    """Number of z in 1..limit whose residues at the seeds equal a smaller z's.
+
+    Each z's residues are folded into one uint64 key, the sum of (z mod q_i) * W_i
+    with W_i the product of the earlier seeds mod 2^64 (the CRT's mixed-radix
+    digits, Knuth, TAOCP vol. 2, 4.3.2). Equal rows have equal keys, so with no
+    two keys equal there is no duplicate; only the z whose keys collide have
+    their full rows compared.
+    """
+    keys, weight = np.zeros(limit + 1, dtype=np.uint64), 1  # indexed by z, 0 included
+    for q in seeds:
+        digits = np.arange(q, dtype=np.uint64) * np.uint64(weight)  # wraps mod 2^64
+        n = keys.size // q * q
+        rows = keys[:n].reshape(-1, q)  # a view of keys: row r holds z = rq .. rq + q - 1
+        rows += digits
+        keys[n:] += digits[: keys.size - n]
+        weight = weight * q % 2**64
+    keys = keys[1:]
+    ordered = np.sort(keys)
+    clashing = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not clashing.size:
+        return 0
+    z = 1 + np.flatnonzero(np.isin(keys, clashing))
+    return _duplicate_rows(np.stack([z % q for q in seeds], axis=1))
+
+
 def _audit_t1(cfg) -> ClaimReport:
     limit = cfg["t1_limit"]
+    if limit > census.DEFAULT_FACTOR_BUDGET:
+        raise BudgetError(f"T1 limit {limit} exceeds factor-sieve budget {census.DEFAULT_FACTOR_BUDGET}")
     prim = smallest_primorial_at_least(limit)
     seeds = seed_prime_set(prim).all_seeds
-    # One column per seed, in the smallest dtype that holds a residue: the
-    # sorted copy of the matrix has its width, so that width sets T1's memory.
-    z = np.arange(1, limit + 1, dtype=np.min_scalar_type(limit))
-    residues = np.empty((limit, len(seeds)), dtype=np.min_scalar_type(max(seeds) - 1))
-    for col, q in enumerate(seeds):
-        residues[:, col] = z % q
-    duplicates = _duplicate_rows(residues)
+    duplicates = _duplicate_signatures(limit, seeds)
     rep = ClaimReport("T1", f"all integers 1..{limit} under seed primes of {prim.value}", PASS)
     if duplicates:
         rep.counterexamples.append(f"{duplicates} duplicate signatures")
@@ -223,9 +246,10 @@ def _audit_t5(cfg) -> ClaimReport:
     for row in rows:
         limit = min(row.A.value, row.smallest_non_core_squared - 1)
         core_of_b = tuple(int(q) for q in primes_up_to(row.B_largest_factor).ordered_primes)
-        certified = 2 * np.flatnonzero(certified_mask(limit, core_of_b)) + 1
-        table = primes_up_to(limit)
-        bad = [int(c) for c in certified if not table.is_prime(int(c))]
+        # both masks index the odd integers up to limit, so one gather of
+        # the prime flags at the certified indexes checks them all
+        certified = np.flatnonzero(certified_mask(limit, core_of_b))
+        bad = (2 * certified[~primes_up_to(limit).odd_prime_mask()[certified]] + 1).tolist()
         rep.counterexamples.extend(f"{b} below {row.smallest_non_core}^2 in row {row.index}" for b in bad)
         rep.witnesses.append(
             f"row {row.index}: {len(certified)} potential solutions < {row.smallest_non_core_squared} all prime"
@@ -337,12 +361,25 @@ def _audit_t8(cfg) -> ClaimReport:
     return rep.finish()
 
 
+@lru_cache(maxsize=1)  # T9 and P6 read one range; a process holds at most one
+def _solutions(upper: int) -> dict:
+    """goldbach_solve(E) for every even 6 <= E <= upper, keyed by E."""
+    return {E: goldbach.goldbach_solve(E) for E in range(6, upper + 1, 2)}
+
+
+def _shared_solutions(cfg) -> dict:
+    """The solutions of every E that T9 or P6 of this config audits."""
+    return _solutions(max(cfg["t9_range"][1], cfg["p6_upper"]))
+
+
 def _audit_t9(cfg) -> ClaimReport:
     lo, hi = cfg["t9_range"]
     rep = ClaimReport("T9", f"even E in [{lo}, {hi}] (full construction where B fits the sieve budget)", PASS)
+    solved = _shared_solutions(cfg)
     full = 0
     for E in range(lo, hi + 1, 2):
-        sol = goldbach.goldbach_solve(E)
+        # an E that is not an even number > 4 is not shared; the solver rejects it
+        sol = solved.get(E) or goldbach.goldbach_solve(E)
         if sol.pair.p1 + sol.pair.p2 != E:
             rep.counterexamples.append(f"E={E}: bad pair")
         if sol.case == "case-2b" and sol.scaffold_certified:
@@ -415,9 +452,9 @@ def _audit_p6(cfg) -> ClaimReport:
     rep = ClaimReport("P6", f"goldbach_solve for all even 6 <= E <= {upper}", PASS)
     cases = {"case-1": 0, "case-2a": 0, "case-2b": 0}
     fallbacks = 0
-    table = primes_up_to(upper)
+    table, solved = primes_up_to(upper), _shared_solutions(cfg)
     for E in range(6, upper + 1, 2):
-        sol = goldbach.goldbach_solve(E)
+        sol = solved[E]
         p1, p2 = sol.pair.p1, sol.pair.p2
         if p1 + p2 != E or not (table.is_prime(p1) and table.is_prime(p2)):
             rep.counterexamples.append(f"E={E}")

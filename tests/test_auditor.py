@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pslb import auditor, scaffold
-from pslb.errors import DomainError
+from pslb import auditor, census, goldbach, scaffold
+from pslb.errors import BudgetError, DomainError
 
 
 def test_all_claims_covered():
@@ -29,6 +29,106 @@ def test_duplicate_rows_counts_one_duplicated_row():
     residues = t1_residues()
     residues[1000, :-1] = residues[7, :-1]  # equal in every column but the last
     assert auditor._duplicate_rows(residues) == 0
+
+
+def full_row_duplicates(limit, seeds):
+    """_duplicate_rows over the whole residue matrix of 1..limit."""
+    return auditor._duplicate_rows(np.array([[z % q for q in seeds] for z in range(1, limit + 1)]))
+
+
+@pytest.mark.parametrize("limit, seeds", [
+    (2310, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)),
+    (30030, (2, 3, 5, 7, 11, 13)),  # every signature mod 30030 once: no duplicate
+    (30031, (2, 3, 5, 7, 11, 13)),  # 30031 repeats the signature of 1
+    (100, (2, 3, 5)),
+    (1000, (7, 2, 9, 4)),  # any moduli, in any order
+    (1, (2, 3)),
+])
+def test_keyed_duplicate_count_equals_full_rows(limit, seeds):
+    assert auditor._duplicate_signatures(limit, seeds) == full_row_duplicates(limit, seeds)
+
+
+def test_keyed_duplicate_count_of_70_below_100():
+    assert auditor._duplicate_signatures(100, (2, 3, 5)) == 70  # 100 integers, 30 signatures
+
+
+# 64 factors of 2 take the weight of the last modulus to 2^64 = 0 (mod 2^64):
+# every odd z gets one key and every even z another, while the rows still differ
+WRAPPED = (2,) * 64 + (3,)
+
+
+@pytest.mark.parametrize("limit, duplicates", [
+    (6, 0),  # keys collide, and rows equal in every column but the last are distinct
+    (7, 1),  # 7 repeats the row of 1
+    (40, 34),
+])
+def test_keyed_duplicate_count_compares_colliding_rows_in_full(limit, duplicates):
+    assert full_row_duplicates(limit, WRAPPED) == duplicates
+    assert auditor._duplicate_signatures(limit, WRAPPED) == duplicates
+
+
+def test_t1_limit_past_the_factor_budget_raises_before_allocating():
+    cfg = dict(auditor.SCALES["small"], t1_limit=census.DEFAULT_FACTOR_BUDGET + 1)
+    tracemalloc.start()
+    try:
+        for run in (lambda: auditor.audit("T1", cfg), lambda: auditor.audit_all(cfg)):
+            with pytest.raises(BudgetError, match="510510"):
+                run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the keys alone would take 4 MB
+
+
+def test_t1_at_the_factor_budget_passes():
+    cfg = dict(auditor.SCALES["small"], t1_limit=census.DEFAULT_FACTOR_BUDGET)
+    rep = auditor.audit("T1", cfg)
+    assert rep.status == auditor.PASS and not rep.counterexamples
+
+
+@pytest.mark.parametrize("scale", ["small", "default", "large"])
+@pytest.mark.parametrize("order", [("T9", "P6"), ("P6", "T9")])
+def test_t9_and_p6_alone_equal_their_audit_all_reports(scale, order):
+    auditor._solutions.cache_clear()
+    alone = {cid: auditor.audit(cid, scale) for cid in order}
+    auditor._solutions.cache_clear()
+    together = {r.claim_id: r for r in auditor.audit_all(scale)}
+    assert all(alone[cid] == together[cid] for cid in order)
+
+
+@pytest.mark.parametrize("scale", ["small", "large"])  # t9 hi above, then below p6_upper
+def test_t9_and_p6_solve_each_even_number_once(monkeypatch, scale):
+    solved = []
+    solve = goldbach.goldbach_solve
+    monkeypatch.setattr(goldbach, "goldbach_solve", lambda E: solved.append(E) or solve(E))
+    auditor._solutions.cache_clear()
+    try:
+        auditor.audit_all(scale)
+    finally:
+        auditor._solutions.cache_clear()
+    cfg = auditor.SCALES[scale]
+    assert solved == list(range(6, max(cfg["t9_range"][1], cfg["p6_upper"]) + 1, 2))
+
+
+@pytest.mark.parametrize("E", [211, 4])
+def test_t9_rejects_an_e_outside_the_shared_solutions(E):
+    cfg = dict(auditor.SCALES["small"], t9_range=(E, 1000))
+    with pytest.raises(DomainError, match=f"got {E}"):
+        auditor.audit("T9", cfg)
+
+
+def test_t5_reports_a_certified_composite(monkeypatch):
+    certified_mask = auditor.certified_mask
+
+    def with_nine(limit, seeds):
+        mask = certified_mask(limit, seeds).copy()
+        mask[4] = True  # 9 = 2 * 4 + 1
+        return mask
+
+    monkeypatch.setattr(auditor, "certified_mask", with_nine)
+    rep = auditor.audit("T5", "small")
+    assert rep.status == auditor.FAIL
+    assert rep.counterexamples == ["9 below 17^2 in row 1", "9 below 53^2 in row 2"]
 
 
 def test_audit_all_small_scale_none_failing():
