@@ -251,8 +251,9 @@ def _audit_t5(cfg) -> ClaimReport:
         certified = np.flatnonzero(certified_mask(limit, core_of_b))
         bad = (2 * certified[~primes_up_to(limit).odd_prime_mask()[certified]] + 1).tolist()
         rep.counterexamples.extend(f"{b} below {row.smallest_non_core}^2 in row {row.index}" for b in bad)
+        found = f", {len(bad)} composite ({', '.join(map(str, bad))})" if bad else " all prime"
         rep.witnesses.append(
-            f"row {row.index}: {len(certified)} potential solutions < {row.smallest_non_core_squared} all prime"
+            f"row {row.index}: {len(certified)} potential solutions < {row.smallest_non_core_squared}{found}"
         )
         scopes.append(f"A={row.A.value}")
     rep.scope = "scaffold rows " + ", ".join(scopes)
@@ -368,7 +369,12 @@ def _solutions(upper: int) -> dict:
 
 
 def _shared_solutions(cfg) -> dict:
-    """The solutions of every E that T9 or P6 of this config audits."""
+    """The solutions of every E that T9 or P6 of this config audits; a range
+    past the factor-sieve budget raises BudgetError before any solve."""
+    budget = census.DEFAULT_FACTOR_BUDGET
+    for key, upper in (("t9_range", cfg["t9_range"][1]), ("p6_upper", cfg["p6_upper"])):
+        if upper > budget:
+            raise BudgetError(f"{key} upper end {upper} exceeds factor-sieve budget {budget}")
     return _solutions(max(cfg["t9_range"][1], cfg["p6_upper"]))
 
 

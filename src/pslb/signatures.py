@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -28,8 +29,19 @@ class ModularSignature:
     seed_primes: tuple[int, ...]
     residues: tuple[int, ...]
 
+    def __reduce__(self):
+        # the three fields only: a copy or an unpickled signature has no row
+        # of `signature` (a private attribute), so crt_reconstruct takes the
+        # general path
+        return ModularSignature, (self.subject, self.seed_primes, self.residues)
+
 
 _INT64_END = 1 << 63
+
+# A seed record holds the shared residue ints (about 36 bytes each) only while
+# its largest seed is below this: every seed set up to 23# (largest seed
+# 14,929), but not 37#, whose 2.7 million ints would take about 100 MB
+_SHARED_INTS_END = 1 << 16
 
 
 class _SeedTuple(NamedTuple):
@@ -37,6 +49,18 @@ class _SeedTuple(NamedTuple):
 
     ints: tuple[int, ...]
     array: np.ndarray  # the seeds as a read-only int64 array
+    # the ints 0 .. largest seed - 1 as a read-only object array, so equal
+    # residues are one int; None when the largest seed is _SHARED_INTS_END or more
+    values: np.ndarray | None
+    inverses: tuple[int, ...]  # the Garner inverses of the leading _BASIS_BLOCK seeds
+
+
+def _as_int(z, name: str) -> int:
+    """z as an exact int (operator.index); DomainError if it is not integral."""
+    try:
+        return operator.index(z)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {z!r}") from None
 
 
 def _identity_first(fn):
@@ -78,25 +102,45 @@ def _check_seeds(seeds: tuple) -> _SeedTuple:
         raise DomainError("seed prime list is empty")
     if list(ints) != sorted(set(ints)):
         raise DomainError(f"seed primes must be strictly ascending: {ints}")
-    table = primes_up_to(max(ints[-1], 2))
-    for s in ints:
-        if not table.is_prime(s):
-            raise DomainError(f"seed {s} is not prime")
+    table = primes_up_to(max(ints[-1], 2))  # BudgetError past 1e8, so the seeds fit int64
     seed_array = np.array(ints, dtype=np.int64)
     seed_array.flags.writeable = False
-    return _SeedTuple(ints, seed_array)
+    # one gather on the odd flags: the seeds ascend, so only the first can be
+    # 2 and the next is the least of the rest; the loop only names a bad seed
+    odd = seed_array[1:] if ints[0] == 2 else seed_array
+    if odd.size and (odd[0] < 3 or not (odd & 1).all()
+                     or not table.odd_prime_mask()[odd >> 1].all()):
+        for s in ints:
+            if not table.is_prime(s):
+                raise DomainError(f"seed {s} is not prime")
+    values = None
+    if ints[-1] < _SHARED_INTS_END:
+        values = np.arange(ints[-1]).astype(object)
+        values.flags.writeable = False
+    # the record is the only cache these inverses need: walked uncached
+    inverses = _garner_basis.__wrapped__(ints[:_BASIS_BLOCK])[0]
+    return _SeedTuple(ints, seed_array, values, inverses)
 
 
 def signature(z: int, seeds) -> ModularSignature:
-    """Residue sequence of z under each seed prime, in seed order."""
+    """Residue sequence of z under each seed prime, in seed order.
+
+    While z fits in int64 the residues are one np.remainder row, and the
+    signature keeps that row and the seed record as a private attribute for
+    crt_reconstruct (not a field: ==, hash, repr, pickle and copy see only
+    the three fields).
+    """
+    z = _as_int(z, "z")
     if z < 1:
         raise DomainError(f"need z >= 1, got {z}")
     rec = _check_seeds(tuple(seeds))
-    if isinstance(z, int) and z < _INT64_END:
-        residues = tuple(np.remainder(z, rec.array).tolist())
-    else:
-        residues = tuple(z % s for s in rec.ints)
-    return ModularSignature(z, rec.ints, residues)
+    if z >= _INT64_END:
+        return ModularSignature(z, rec.ints, tuple(z % s for s in rec.ints))
+    row = np.remainder(z, rec.array)
+    residues = tuple((row if rec.values is None else rec.values[row]).tolist())
+    sig = ModularSignature(z, rec.ints, residues)
+    object.__setattr__(sig, "_row", (row, rec))
+    return sig
 
 
 # Moduli per block of _garner_basis: a block's product of 14-bit seeds is
@@ -137,18 +181,37 @@ def _garner_basis(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray 
 
 
 def _meets_every_residue(x: int, moduli: np.ndarray | None, residues) -> bool:
-    """Whether x (< 2^63) mod each modulus is the residue at its place.
+    """Whether x (< 2^63) mod each modulus is the residue at its place; the
+    residues are a sequence or an int64 array.
 
     Without a moduli array, or with a residue that is not an int64 (too
     large, or not an integer), it never is.
     """
     if moduli is None:
         return False
-    try:
-        want = np.frombuffer(array("q", residues), dtype=np.int64)
-    except (OverflowError, TypeError):
-        return False
-    return np.array_equal(np.remainder(x, moduli), want)
+    if not isinstance(residues, np.ndarray):
+        try:
+            residues = np.frombuffer(array("q", residues), dtype=np.int64)
+        except (OverflowError, TypeError):
+            return False
+    return np.array_equal(np.remainder(x, moduli), residues)
+
+
+def _crt_of_row(residues: tuple[int, ...], row: np.ndarray, rec: _SeedTuple) -> int:
+    """crt_reconstruct of a signature made by `signature`: z < 2^63, and the
+    product of any 16 distinct primes is at least 16#, past 2^63, so x reaches
+    z within 16 steps and the 17th finds t = 0: the walk reads only the
+    record's leading inverses. Fewer seeds are all walked, giving z mod M.
+    """
+    last_m, last_r = rec.ints[-1], residues[-1]
+    x, prefix = 0, 1
+    for m, inverse, r in zip(rec.ints, rec.inverses, residues):
+        t = (r - x) * inverse % m
+        if t == 0 and x % last_m == last_r and _meets_every_residue(x, rec.array, row):
+            return x
+        x += t * prefix
+        prefix *= m
+    return x
 
 
 def crt_reconstruct(sig: ModularSignature) -> int:
@@ -161,8 +224,12 @@ def crt_reconstruct(sig: ModularSignature) -> int:
     steps stop (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
     That compare takes one remainder over the moduli's int64 array while
     x < 2^63; the last residue is tried first, as a cheap filter for the
-    steps where t_k is 0 by chance.
+    steps where t_k is 0 by chance. A signature made by `signature` for
+    z < 2^63 is compared with its own remainder row instead.
     """
+    own = sig.__dict__.get("_row")
+    if own is not None:
+        return _crt_of_row(sig.residues, *own)
     # a residue tuple shorter than the seeds fixes only the leading seeds
     moduli = tuple(sig.seed_primes[: len(sig.residues)])
     if not moduli:
@@ -202,6 +269,7 @@ def classify(z: int, sps: SeedPrimeSet) -> Classification:
     A non-core seed prime dividing z (e.g. 29 | 2291) counts as an ordinary
     zero residue; the seed-prime verdict applies only when z itself is a seed.
     """
+    z = _as_int(z, "z")
     if not 1 <= z <= sps.primorial.value:
         raise DomainError(f"z must lie in [1, {sps.primorial.value}], got {z}")
     # z <= 47# < 2^63, and the core seeds lead the seed tuple
@@ -230,6 +298,7 @@ def is_potential_twin(o2: int, sps: SeedPrimeSet) -> bool:
     The pair is anchored at its larger member o2; it survives when o2 and
     o2 - 2 are both potential primes, neither divisible by an odd core seed.
     """
+    o2 = _as_int(o2, "twin anchor")
     if o2 % 2 == 0:
         raise DomainError(f"twin anchor must be odd, got {o2}")
     if not 5 <= o2 <= sps.primorial.value:

@@ -129,6 +129,36 @@ def test_t5_reports_a_certified_composite(monkeypatch):
     rep = auditor.audit("T5", "small")
     assert rep.status == auditor.FAIL
     assert rep.counterexamples == ["9 below 17^2 in row 1", "9 below 53^2 in row 2"]
+    # the witnesses name the composite; a clean row says "all prime"
+    assert rep.witnesses == ["row 1: 41 potential solutions < 289, 1 composite (9)",
+                             "row 2: 329 potential solutions < 2809, 1 composite (9)"]
+    monkeypatch.undo()
+    assert auditor.audit("T5", "small").witnesses == [
+        "row 1: 40 potential solutions < 289 all prime", "row 2: 328 potential solutions < 2809 all prime"]
+
+
+@pytest.mark.parametrize("claim", ["T9", "P6"])
+@pytest.mark.parametrize("key, value", [("t9_range", (212, 10**6)), ("p6_upper", 10**6)])
+def test_goldbach_ranges_past_the_factor_budget_raise_before_solving(monkeypatch, claim, key, value):
+    solved = []
+    monkeypatch.setattr(goldbach, "goldbach_solve", lambda E: solved.append(E))
+    cfg = dict(auditor.SCALES["small"], **{key: value})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"{key} upper end 1000000 exceeds factor-sieve budget 510510"):
+            auditor.audit(claim, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and solved == []  # 10^6 solutions would hold about 170 MB
+
+
+def test_goldbach_ranges_at_the_factor_budget_are_accepted(monkeypatch):
+    # only the bound is checked here: the solutions themselves are not built
+    monkeypatch.setattr(auditor, "_solutions", lambda upper: {})
+    budget = census.DEFAULT_FACTOR_BUDGET
+    cfg = dict(auditor.SCALES["small"], t9_range=(budget, budget), p6_upper=budget)
+    assert auditor._shared_solutions(cfg) == {}
 
 
 def test_audit_all_small_scale_none_failing():

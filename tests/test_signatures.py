@@ -1,6 +1,10 @@
 """Signature, CRT and classification tests."""
+import copy
+import dataclasses
 import math
+import pickle
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 import pslb
 from pslb import primes, signatures
 from pslb.errors import BudgetError, DomainError
-from pslb.primes import nth_primorial, primes_up_to, seed_prime_set
+from pslb.primes import is_prime, nth_primorial, primes_up_to, seed_prime_set
 from pslb.signatures import (
     VERDICT_CERTIFIED_PRIME,
     VERDICT_COMPOSITE_BY_CORE,
@@ -355,21 +359,27 @@ def test_crt_rejects_repeated_moduli():
 
 # -- Garner's early exit ------------------------------------------------------
 
-def crt_path(sig):
-    """crt_reconstruct(sig) and whether a compare over every residue ended
-    its steps early."""
-    hits = []
-    meets = signatures._meets_every_residue
+def crt_calls(sig, name):
+    """crt_reconstruct(sig) and what each call of signatures.<name> returned in it."""
+    returned = []
+    fn = getattr(signatures, name)
 
     def recording(*args):
-        hits.append(meets(*args))
-        return hits[-1]
+        returned.append(fn(*args))
+        return returned[-1]
 
-    signatures._meets_every_residue = recording
+    setattr(signatures, name, recording)
     try:
         x = crt_reconstruct(sig)
     finally:
-        signatures._meets_every_residue = meets
+        setattr(signatures, name, fn)
+    return x, returned
+
+
+def crt_path(sig):
+    """crt_reconstruct(sig) and whether a compare over every residue ended
+    its steps early."""
+    x, hits = crt_calls(sig, "_meets_every_residue")
     return x, any(hits)
 
 
@@ -386,6 +396,119 @@ def test_signatures_of_real_z_take_the_early_path(data):
     sig = signature(z, seeds)
     assert crt_path(sig) == (z, True)
     assert fold_crt(sig) == z
+
+
+# -- signatures that keep their own remainder row -----------------------------
+
+SEEDS_23 = seed_prime_set(nth_primorial(9)).all_seeds  # 1,748 seeds
+
+
+def row_path(sig):
+    """crt_reconstruct(sig) and whether it took the signature's own row."""
+    x, calls = crt_calls(sig, "_crt_of_row")
+    return x, bool(calls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_path_equals_the_fold_and_the_hand_built_signature(data):
+    seeds = tuple(sorted(data.draw(
+        st.lists(st.sampled_from(PRIMES_BELOW_20000), min_size=1, max_size=120, unique=True),
+        label="seeds",
+    )))
+    z = data.draw(st.integers(min_value=1, max_value=2**63 - 1) | st.sampled_from([2**63 - 1, 2**63]),
+                  label="z")
+    sig = signature(z, seeds)
+    hand_built = ModularSignature(z, seeds, sig.residues)
+    assert row_path(hand_built) == (fold_crt(sig), False)
+    assert row_path(sig) == (fold_crt(sig), z < 2**63)
+
+
+def test_copies_of_a_signature_take_the_general_path():
+    sig = signature(123_456_789, SEEDS_23)
+    shifted = tuple(r + 1 for r in sig.residues)
+    copies = [pickle.loads(pickle.dumps(sig)), copy.copy(sig), copy.deepcopy(sig),
+              dataclasses.replace(sig)]
+    for other in copies:
+        assert other == sig and hash(other) == hash(sig) and repr(other) == repr(sig)
+        assert vars(other) == dataclasses.asdict(sig)  # the three fields, no row
+        assert row_path(other) == (123_456_789, False)
+    changed = dataclasses.replace(sig, residues=shifted)
+    assert row_path(changed) == (fold_crt(changed), False)
+    assert row_path(sig) == (123_456_789, True)
+    assert [f.name for f in dataclasses.fields(sig)] == ["subject", "seed_primes", "residues"]
+
+
+def test_equal_residues_are_one_int():
+    # 1000 is the residue at every seed above 1000, and z + 1009 * 1013 has it at two of them
+    a, b = signature(1000, SEEDS_23), signature(1000 + 1009 * 1013, SEEDS_23)
+    assert len({id(r) for r in a.residues if r == 1000}) == 1
+    same = [(x, y) for x, y in zip(a.residues, b.residues) if x == y]
+    assert sum(x == 1000 for x, _ in same) == 2
+    assert all(x is y for x, y in same)
+    assert all(type(r) is int for r in a.residues + b.residues)
+
+
+@pytest.mark.parametrize("seeds", [(2, 3, 65_521), (2, 3, 65_537)])  # either side of 2^16
+def test_seeds_past_the_shared_ints_give_exact_residues(seeds):
+    assert (signatures._check_seeds(seeds).values is None) == (seeds[-1] > 2**16)
+    sig = signature(123_456_789, seeds)
+    assert sig.residues == tuple(123_456_789 % q for q in seeds)
+    assert all(type(r) is int for r in sig.residues)
+    assert row_path(sig) == (fold_crt(sig), True)
+
+
+def test_retained_signatures_share_their_residue_ints():
+    zs = [int(z) for z in np.random.default_rng(32).integers(10**6, nth_primorial(9).value, 60)]
+    signature(1, SEEDS_23)  # the seed record, with its shared ints, is cached first
+    tracemalloc.start()
+    try:
+        kept = [signature(z, SEEDS_23) for z in zs]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a residue costs its tuple slot and its int64 in the row (16 bytes), so
+    # 1.7 MB in all; a fresh int per residue adds 28 bytes for most, 3.8 MB
+    assert size < 60 * 20 * len(SEEDS_23)
+    assert [crt_reconstruct(sig) for sig in kept] == zs
+
+
+def test_integral_z_only():
+    sps = seed_prime_set(nth_primorial(5))
+    for bad in (2291.5, 2291.0, "2291", None, np.float64(2291)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            signature(bad, SEEDS_2310)
+        with pytest.raises(DomainError, match="must be an integer"):
+            classify(bad, sps)
+        with pytest.raises(DomainError, match="must be an integer"):
+            is_potential_twin(bad, sps)
+    for z in (np.int64(2291), np.uint16(2291), True):
+        sig = signature(z, SEEDS_2310)
+        assert type(sig.subject) is int and all(type(r) is int for r in sig.residues)
+        assert sig == signature(int(z), SEEDS_2310)
+    cls = classify(np.int64(209), sps)
+    assert type(cls.subject) is int and cls.is_odd is True
+    assert cls == classify(209, sps)
+    assert is_potential_twin(np.int64(2243), sps) == is_potential_twin(2243, sps)
+
+
+def first_non_prime(seeds):
+    """Oracle: the seed the per-seed check names first."""
+    return next(s for s in seeds if not is_prime(s))
+
+
+@pytest.mark.parametrize("seeds", [
+    (0, 3, 5), (1, 3, 5), (-7, 3, 5), (-2, 2, 3), (4, 5, 7), (9, 11, 13),   # first
+    (2, 4, 5), (3, 4, 5), (2, 3, 15, 17), (-7, -5, 3),                     # middle
+    (3, 5, 8), (2, 3, 5, 49), (2, 3, 5, 7, 11, 13, 17, 19, 23, 25),         # last
+    SEEDS_23[:101] + (549,) + SEEDS_23[101:],         # 549 = 9 * 61, between 547 and 557
+    SEEDS_23 + (14_931,),                             # 14,931 = 3^3 * 7 * 79, last
+    SEEDS_23[:500] + (3576,) + SEEDS_23[500:],       # even, between 3571 and 3581
+], ids=lambda seeds: f"{len(seeds)}-seeds-{first_non_prime(seeds)}")
+def test_bad_seeds_name_the_first_non_prime(seeds):
+    bad = first_non_prime(seeds)
+    with pytest.raises(DomainError, match=rf"^seed {bad} is not prime$"):
+        signature(5, seeds)
 
 
 def _shifted(sig, i, by):
