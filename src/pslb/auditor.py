@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import census, goldbach, scaffold
-from .errors import BudgetError, DomainError
+from .errors import DomainError, _check_budget
 from .primes import nth_primorial, primes_up_to, seed_prime_set, smallest_primorial_at_least
 from .signatures import certified_mask, potential_prime_mask, signature, crt_reconstruct
 
@@ -64,15 +64,28 @@ class ClaimReport:
 
 
 def _cfg(scale_config) -> dict:
+    """The scale dict of a scale name or dict; a dict's budgeted keys are checked,
+    before any claim runs, against the limits that would refuse them further down."""
     if isinstance(scale_config, str):
         try:
-            return SCALES[scale_config]
+            return SCALES[scale_config]  # each within every budget
         except KeyError:
             raise DomainError(f"unknown scale {scale_config!r}; use small|default|large")
     cfg, keys = dict(scale_config), SCALES["default"].keys()
     if cfg.keys() != keys:
         raise DomainError(f"scale config keys: missing {sorted(keys - cfg.keys())}, "
                           f"unknown {sorted(map(repr, cfg.keys() - keys))}")
+    factor = [("t1_limit", cfg["t1_limit"]), ("t9_range upper end", cfg["t9_range"][1]),
+              ("p6_upper upper end", cfg["p6_upper"]), ("t3_k primorial", nth_primorial(cfg["t3_k"]).value)]
+    for ka, kb in cfg["t4_pairs"]:
+        inner, outer = nth_primorial(ka).value, nth_primorial(kb).value
+        factor.append(("t4_pairs outer primorial", outer))
+        _check_budget("t4_pairs cycles", outer // inner, "census cycle cap")
+    for asked, demand in factor:
+        _check_budget(asked, demand, "factor-sieve budget")
+    for asked, demand in [("t2_limit", cfg["t2_limit"]), ("t8_upper", cfg["t8_upper"]),
+                          *(("c32_ks primorial", nth_primorial(k).value) for k in cfg["c32_ks"])]:
+        _check_budget(asked, demand, "primality budget")
     return cfg
 
 
@@ -111,8 +124,6 @@ def _duplicate_signatures(limit: int, seeds) -> int:
 
 def _audit_t1(cfg) -> ClaimReport:
     limit = cfg["t1_limit"]
-    if limit > census.DEFAULT_FACTOR_BUDGET:
-        raise BudgetError(f"T1 limit {limit} exceeds factor-sieve budget {census.DEFAULT_FACTOR_BUDGET}")
     prim = smallest_primorial_at_least(limit)
     seeds = seed_prime_set(prim).all_seeds
     duplicates = _duplicate_signatures(limit, seeds)
@@ -369,12 +380,7 @@ def _solutions(upper: int) -> dict:
 
 
 def _shared_solutions(cfg) -> dict:
-    """The solutions of every E that T9 or P6 of this config audits; a range
-    past the factor-sieve budget raises BudgetError before any solve."""
-    budget = census.DEFAULT_FACTOR_BUDGET
-    for key, upper in (("t9_range", cfg["t9_range"][1]), ("p6_upper", cfg["p6_upper"])):
-        if upper > budget:
-            raise BudgetError(f"{key} upper end {upper} exceeds factor-sieve budget {budget}")
+    """The solutions of every E that T9 or P6 of this config audits, whose ranges _cfg checked."""
     return _solutions(max(cfg["t9_range"][1], cfg["p6_upper"]))
 
 

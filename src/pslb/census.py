@@ -10,23 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, _and_patterns, _byte_patterns, _prime_windows,
-                     _read_only, max_seed_prime_for, primes_up_to)
+# CENSUS_CEILING and DEFAULT_FACTOR_BUDGET are importable from here too
+from .errors import (CENSUS_CEILING, DEFAULT_FACTOR_BUDGET, DEFAULT_PRIMALITY_BUDGET, _LIMITS, DomainError,
+                     _check_budget)
+from .primes import (Primorial, _and_patterns, _byte_patterns, _prime_windows, _read_only, is_prime,
+                     max_seed_prime_for)
 from .signatures import potential_twin_mask
-
-DEFAULT_FACTOR_BUDGET = 510_510
-# The census sieves its own windows, so no prime table bounds it: 19# in 23#
-# takes 0.5 s, each primorial past it multiplies that by its new prime, and
-# 2^17 cycles of rows hold about 100 MB. Within the primality budget it keeps
-# the last primorial's packed flags (2 x 606 KB at 19#), so the readers of one
-# primorial sieve it once; past the budget it streams them.
-CENSUS_CEILING = 223_092_870  # 23#
-_MAX_CYCLES = 1 << 17
 
 
 def totient_of_primorial(p: Primorial) -> int:
@@ -80,14 +73,20 @@ def _window_words(p: Primorial):
 
 @lru_cache(maxsize=1)
 def _kept_words(p: Primorial) -> tuple:
-    """The windows of _window_words(p), read-only, for p within the primality budget."""
+    """The windows of _window_words(p), read-only, kept for p within the primality
+    budget (2 x 606 KB at 19#) so the readers of one primorial sieve it once."""
     return tuple((lo, size, _read_only(words)) for lo, size, words in _window_words(p))
+
+
+def _check_census(p: Primorial, budget: int) -> None:
+    _check_budget("primorial", p.value, "factor-sieve budget", budget)
+    _check_budget("primorial", p.value, "census ceiling")
 
 
 def _census_fold(p: Primorial, width: int, budget: int) -> np.ndarray:
     """Counts of the potential primes, potential twins, true twins and new
     composites (rows 0-3) per segment of `width` odd flags up to p.value, the
-    last possibly shorter. BudgetError past the budget or the census ceiling.
+    last possibly shorter; _check_census refuses p before any window.
 
     A new composite is a potential prime that is neither prime nor 1. A twin
     anchor o2 >= 5 is potential when o2 - 2 and o2 are, and true when both are
@@ -96,10 +95,7 @@ def _census_fold(p: Primorial, width: int, budget: int) -> np.ndarray:
     window's count up to a flag is the popcount of its words before that
     flag's word, from prefix sums, plus the bits of that word above it.
     """
-    if p.value > budget:
-        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
-    if p.value > CENSUS_CEILING:
-        raise BudgetError(f"primorial {p.value} exceeds census ceiling {CENSUS_CEILING} (23#)")
+    _check_census(p, budget)
     counts = np.zeros((4, -(-(p.value // 2) // width)), dtype=np.int64)
     carry = np.zeros(2, dtype=np.uint64)
     for lo, size, flags in _kept_words(p) if p.value <= DEFAULT_PRIMALITY_BUDGET else _window_words(p):
@@ -129,10 +125,8 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     smallest factor is therefore a non-core seed prime. BudgetError past the
     budget or the primality budget, where the members would pass 100 MB.
     """
-    if p.value > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(f"new composites of {p.value} exceed primality budget {DEFAULT_PRIMALITY_BUDGET}")
-    if p.value > budget:
-        raise BudgetError(f"primorial {p.value} exceeds factor-sieve budget {budget}")
+    _check_budget("new composites of primorial", p.value, "primality budget")
+    _check_budget("primorial", p.value, "factor-sieve budget", budget)
     windows = [(lo, words[0] & ~words[1]) for lo, _, words in _kept_words(p)]  # potential, not prime
     windows[0][1][0] &= ~np.uint64(1 << 63)  # 1 is no composite
     members, found = np.empty(sum(int(np.bitwise_count(w).sum()) for _, w in windows), dtype=np.int64), 0
@@ -153,26 +147,19 @@ def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> in
     return len(p.prime_factors) + totient_of_primorial(p) - 1 - n_b
 
 
-def _eq1_seeds(n: int) -> tuple[int, ...]:
-    """The primes <= sqrt(n), the seeds Eq. 1 sieves n with."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    root = math.isqrt(n)
-    seeds = tuple(primes_up_to(root).ordered_primes.tolist()) if root >= 2 else ()
-    if len(seeds) > 20:
-        raise BudgetError(f"{len(seeds)} seeds is too many for subset enumeration")
-    return seeds
-
-
 def seed_multiple_level_counts(n: int) -> list[int]:
     """Per-depth inclusion-exclusion sums of seed multiples up to n.
 
     The seeds are the primes <= sqrt(n). Level k holds the sum of
     floor(n / product) over all k-subsets of them; the signed alternating
     total counts distinct seed multiples (e.g. 117 - 45 + 6 - 0 = 78 for
-    n = 100, seeds 2, 3, 5, 7).
+    n = 100, seeds 2, 3, 5, 7). The seeds are found by trial division, and
+    one past the Eq. 1 seed cap refuses n, so no sieve is run.
     """
-    seeds = _eq1_seeds(n)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    seeds = tuple(islice(filter(is_prime, range(2, math.isqrt(n) + 1)), _LIMITS["Eq. 1 seed cap"] + 1))
+    _check_budget(f"Eq. 1 seeds of {n}, at least", len(seeds), "Eq. 1 seed cap")
     levels = []
     for k in range(1, len(seeds) + 1):
         total = 0
@@ -241,9 +228,7 @@ def cycle_census(inner: Primorial, outer: Primorial,
     """
     if outer.value % inner.value != 0:
         raise DomainError(f"{inner.value} does not divide {outer.value}")
-    n_cycles = outer.value // inner.value
-    if n_cycles > _MAX_CYCLES:
-        raise BudgetError(f"{n_cycles} cycles exceed the census cap of {_MAX_CYCLES}")
+    _check_budget("cycles", outer.value // inner.value, "census cycle cap")
     # one row per cycle of integers (c-1)*inner+1 .. c*inner: inner/2 odd flags;
     # every true-twin anchor is a potential one, so false twins are the difference
     pp_n, pt_n, tt_n, nc_n = _census_fold(outer, inner.value // 2, budget)
@@ -268,6 +253,7 @@ class Figure1Window:
 def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Figure1Window]:
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
+    _check_census(p, budget)  # before the max seed's table is read
     max_seed = max_seed_prime_for(p.value)  # a window's odd half is max_seed flags
     counts = _census_fold(p, max_seed, budget)
     starts = np.arange(0, p.value, 2 * max_seed)

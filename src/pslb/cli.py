@@ -18,7 +18,7 @@ import numpy as np
 
 from . import auditor, census, goldbach, tables
 from .census import DEFAULT_FACTOR_BUDGET
-from .errors import BudgetError, DomainError, PrimorialOverflowError
+from .errors import BudgetError, DomainError, PrimorialOverflowError, _check_budget
 from .primes import (
     PrimeTable,
     primes_up_to,
@@ -172,8 +172,7 @@ def _cmd_twins(args) -> tables.TableData:
     if limit < 5:
         raise DomainError(f"need --below >= 5, got {limit}")
     outer = smallest_primorial_at_least(limit)
-    if outer.value > args.sieve_budget:
-        raise BudgetError(f"primorial {outer.value} exceeds factor-sieve budget {args.sieve_budget}")
+    _check_budget("primorial", outer.value, "factor-sieve budget", args.sieve_budget)
     pt, tt = census.twin_masks(limit, outer.prime_factors, primes_up_to(limit).odd_prime_mask())
     if args.count:
         return tables.TableData(

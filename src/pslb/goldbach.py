@@ -8,9 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError, _check_budget
 from .primes import (
-    DEFAULT_PRIMALITY_BUDGET,
     _LADDER,
     _shared_table,
     largest_primorial_at_most,
@@ -116,9 +115,7 @@ def residue_addition_table(p: int) -> np.ndarray:
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
-    if p * p > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(f"residue addition grid of {p}x{p} cells exceeds primality budget "
-                          f"{DEFAULT_PRIMALITY_BUDGET}")
+    _check_budget("residue addition grid cells", p * p, "primality budget")
     a = np.arange(p, dtype=np.int64)
     grid = np.add.outer(a, a)
     return np.remainder(grid, p, out=grid)  # in place: one grid at the peak

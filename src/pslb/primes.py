@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, PrimorialOverflowError
+from .errors import DEFAULT_PRIMALITY_BUDGET, _LIMITS, DomainError, PrimorialOverflowError, _check_budget
 
 U64_MAX = 2**64 - 1
 
@@ -38,14 +38,12 @@ CACHE_VERSION = 2
 # bytes and the bitset body
 _CACHE_HEADER = struct.Struct("<4sBQI")  # 17 bytes
 
-DEFAULT_PRIMALITY_BUDGET = 100_000_000
-
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test.
 
     Its divisors run to sqrt(n), so past the square of the primality budget
-    it raises BudgetError instead of running for hours.
+    (the trial-division reach) it raises BudgetError instead of running for hours.
     """
     if n < 2:
         return False
@@ -53,8 +51,8 @@ def is_prime(n: int) -> bool:
         return True
     if n % 2 == 0 or n % 3 == 0:
         return False
-    if n > DEFAULT_PRIMALITY_BUDGET ** 2:
-        raise BudgetError(f"trial division of {n} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
+    if n > _LIMITS["trial-division reach"]:
+        _check_budget("trial division of", n, "trial-division reach")
     f = 5
     while f * f <= n:
         if n % f == 0 or n % (f + 2) == 0:
@@ -74,10 +72,6 @@ _WINDOW = 1 << 20
 # of their 13 pair patterns cost (8 ms), and past 359 a group holds one seed.
 _PATTERN_PRIMES = tuple(filter(is_prime, range(3, 200)))
 _PATTERN_BYTES = 1 << 17
-# Below 211**2 (211 is the least prime past the patterns) every odd integer
-# free of 3 to 199 is prime, so one pre-sieve gives the strided seeds of every
-# limit below 211**4, about 2e9: past the primality budget and 23#.
-_SEED_REACH = 211 * 211
 
 
 def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> np.ndarray:
@@ -93,8 +87,7 @@ def residue_sieve(lo: int, hi: int, forbidden: Mapping[int, Iterable[int]]) -> n
     """
     size = max(hi - lo + 1, 0)
     if size > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(f"residue window of {size} integers exceeds primality budget "
-                          f"{DEFAULT_PRIMALITY_BUDGET}")
+        _check_budget("residue window of integers", size, "primality budget")
     try:  # a modulus or class that is not an integer fails here, in an empty window too
         classes = []  # each class read once, so a one-shot iterable serves every window
         for q, residues in forbidden.items():
@@ -118,16 +111,8 @@ def seed_free_odd_mask(lo: int, hi: int, seeds: Iterable[int]) -> np.ndarray:
     return residue_sieve(lo, hi, {q: (q // 2,) for q in seeds if q != 2})
 
 
-def _check_sieve_limit(limit: int) -> None:
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > DEFAULT_PRIMALITY_BUDGET:
-        raise BudgetError(f"sieve limit {limit} exceeds primality budget {DEFAULT_PRIMALITY_BUDGET}")
-
-
 def sieve_odd_flags(limit: int) -> np.ndarray:
     """Prime flags for the odd integers 1, 3, 5, ... up to limit (index i holds 2i+1)."""
-    _check_sieve_limit(limit)
     return np.unpackbits(_sieve_bits(limit), count=(limit + 1) // 2).view(bool)
 
 
@@ -146,8 +131,8 @@ def _prime_windows(limit: int):
     Windows hold _WINDOW flags rounded up to whole bytes, so each packs alone.
     """
     root = math.isqrt(limit)
-    if root >= _SEED_REACH:
-        raise BudgetError(f"sieve limit {limit} needs seeds past {_SEED_REACH}")
+    if root >= _LIMITS["seed reach"]:  # the strided seeds stop below the reach
+        _check_budget(f"sieve limit {limit}: seeds below", root + 1, "seed reach")
     patterns, seeds = _presieve()
     seeds = seeds[: np.searchsorted(seeds, root, side="right")]
     squares = seeds * seeds // 2  # the odd index of each q*q, ascending
@@ -179,10 +164,10 @@ def _presieve() -> tuple[tuple[tuple[int, np.ndarray], ...], np.ndarray]:
     - (P, pattern) per greedy group of _PATTERN_PRIMES: P is the group's
       product and pattern two periods (2P bytes) of the odd integers free of
       the group, packed as the windows are;
-    - the strided seeds: the primes from 211 below _SEED_REACH.
+    - the strided seeds: the primes from 211 below the seed reach, 211**2.
     """
     first = _PATTERN_PRIMES[-1] + 2  # 201, whose index is first // 2
-    free = seed_free_odd_mask(first // 2, _SEED_REACH // 2 - 1, _PATTERN_PRIMES)
+    free = seed_free_odd_mask(first // 2, _LIMITS["seed reach"] // 2 - 1, _PATTERN_PRIMES)
     return _byte_patterns(_PATTERN_PRIMES), _read_only(2 * np.flatnonzero(free) + first)
 
 
@@ -219,8 +204,11 @@ def _and_patterns(bits: np.ndarray, at: int, patterns) -> None:
 
 
 def _sieve_bits(limit: int) -> np.ndarray:
-    """The odd flags up to limit >= 1 packed as a cache file's body: each
-    window of _prime_windows copied straight in."""
+    """The odd flags up to limit packed as a cache file's body: each window
+    of _prime_windows copied straight in. The limit is checked first."""
+    if limit < 2:
+        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    _check_budget("sieve limit", limit, "primality budget")
     bits = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
     for lo, window in _prime_windows(limit):
         bits[lo // 8 : lo // 8 + window.size] = window
@@ -286,7 +274,6 @@ class PrimeTable:
         """The table up to limit: each packed window of `_prime_windows`, its
         seeds up to 199 ANDed in as byte patterns, is copied straight into the
         bitset a cache file keeps; no bool flag array is ever built."""
-        _check_sieve_limit(limit)
         return _PackedTable(limit, _sieve_bits(limit))
 
     # -- cache file ----------------------------------------------------------
@@ -419,19 +406,18 @@ def next_prime(n: int) -> int:
     """Smallest prime > n, read off the shared table's odd flags up from n.
 
     The shared table grows only when it holds no prime above n, and then to
-    2n (by Bertrand's postulate a prime lies in (n, 2n]), or to the primality
-    budget if that comes first.
+    2n (by Bertrand's postulate a prime lies in (n, 2n]), or first to the
+    primality budget if 2n is past it, and then the sieve refuses 2n.
     """
     if n < 2:
         return 2
-    for limit in (2, max(n + 1, min(2 * n, DEFAULT_PRIMALITY_BUDGET))):
+    for limit in (2, max(n + 1, min(2 * n, DEFAULT_PRIMALITY_BUDGET)), 2 * n):
         flags = _shared_table(limit).odd_prime_mask()
         i = (n + 1) // 2  # the least odd integer > n
         while i < len(flags) and not flags[i]:
             i += 1
         if i < len(flags):
             return 2 * i + 1
-    raise BudgetError(f"no prime above {n} within primality budget {DEFAULT_PRIMALITY_BUDGET}")
 
 
 @dataclass(frozen=True)

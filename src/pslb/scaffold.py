@@ -10,8 +10,8 @@ from functools import lru_cache
 import numpy as np
 
 from .census import potential_solutions_T
-from .errors import BudgetError, DomainError
-from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, PrimeTable, max_seed_prime_for,
+from .errors import DEFAULT_PRIMALITY_BUDGET, DomainError, _check_budget
+from .primes import (Primorial, PrimeTable, max_seed_prime_for,
                      next_prime, nth_primorial, primes_up_to)
 
 # the least table the scaffold asks for: it covers 2,724,109, the largest row
@@ -19,9 +19,6 @@ from .primes import (DEFAULT_PRIMALITY_BUDGET, Primorial, PrimeTable, max_seed_p
 PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000
 # primes per block of log1p terms while the prefix is built
 _PREFIX_BLOCK = 1 << 15
-# product_factor_fraction normalises a Fraction per prime, so its cost grows
-# with the square of the span; past this many primes it raises BudgetError
-_FRACTION_MAX_PRIMES = 10_000
 
 @dataclass(frozen=True)
 class _LogPrefix:
@@ -122,13 +119,11 @@ def product_factor_fraction(from_prime: int, to_prime: int) -> Fraction:
     """Exact rational product factor; for audit use on short prime ranges.
 
     The primes are read off the table's odd flags and counted before any
-    product is taken: BudgetError when the range holds more than 10,000.
+    product is taken: BudgetError past the exact-product cap of 10,000.
     """
     span = _span_table(from_prime, to_prime, to_prime).odd_prime_mask()[from_prime // 2 :]
     count = int(np.count_nonzero(span)) + (from_prime == 2)
-    if count > _FRACTION_MAX_PRIMES:
-        raise BudgetError(f"{count} primes in [{from_prime}, {to_prime}] exceed the exact "
-                          f"product budget of {_FRACTION_MAX_PRIMES}")
+    _check_budget(f"primes in [{from_prime}, {to_prime}]", count, "exact-product cap")
     if from_prime == 2:
         return Fraction(0)
     out = Fraction(1)

@@ -235,7 +235,7 @@ def crt_reconstruct(sig: ModularSignature) -> int:
     if not moduli:
         return 0
     inverses, moduli_array = _garner_basis(moduli)
-    residues = sig.residues[: len(moduli)]
+    residues = tuple(_as_int(r, "each residue") for r in sig.residues[: len(moduli)])
     last_m, last_r = moduli[-1], residues[-1]
     x, prefix = 0, 1
     for m, inverse, r in zip(moduli, inverses, residues):
@@ -308,6 +308,7 @@ def is_potential_twin(o2: int, sps: SeedPrimeSet) -> bool:
 
 def residue_cycle(p: int, parity: str) -> tuple[int, ...]:
     """One full residue cycle of length p through same-parity integers."""
+    p = _as_int(p, "p")
     if p == 2 or not is_prime(p):
         raise DomainError(f"need an odd prime, got {p}")
     if parity not in ("odd", "even"):

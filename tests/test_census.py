@@ -21,7 +21,7 @@ from pslb.census import (
     true_twin_count,
     twin_masks,
 )
-from pslb.errors import BudgetError, DomainError
+from pslb.errors import _LIMITS, BudgetError, DomainError
 from pslb.primes import max_seed_prime_for, nth_primorial, primes_up_to, seed_prime_set
 from pslb.signatures import potential_prime_mask
 
@@ -344,7 +344,7 @@ def test_fold_rows_equal_whole_masks(data):
     k_outer = data.draw(st.integers(1, 8), label="k_outer")
     outer = nth_primorial(k_outer)
     k_inner = data.draw(st.integers(1, k_outer).filter(
-        lambda k: outer.value // nth_primorial(k).value <= census._MAX_CYCLES), label="k_inner")
+        lambda k: outer.value // nth_primorial(k).value <= _LIMITS["census cycle cap"]), label="k_inner")
     inner = nth_primorial(k_inner)
     size = outer.value // 2
     windows = st.integers(max(8, size // 256), max(8, size // 2))
@@ -420,9 +420,9 @@ def test_census_bounds():
         with pytest.raises(BudgetError, match="census ceiling"):
             fn()
     # 17# holds 255,255 cycles of 2#, past the cap; 19# holds 46,189 of 7#, within it
-    with pytest.raises(BudgetError, match="cycles exceed"):
+    with pytest.raises(BudgetError, match="cycles 255255 exceeds census cycle cap 131072"):
         cycle_census(nth_primorial(1), nth_primorial(7), budget=big)
-    assert nth_primorial(8).value // nth_primorial(4).value <= census._MAX_CYCLES
+    assert nth_primorial(8).value // nth_primorial(4).value <= _LIMITS["census cycle cap"]
     # the members at 23# would be 194 MB: the primality budget still refuses them
     with pytest.raises(BudgetError, match="primality budget"):
         new_composites(p23, budget=big)

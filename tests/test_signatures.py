@@ -124,6 +124,12 @@ def test_residue_cycles_match_reference_rows():
         residue_cycle(7, "both")
 
 
+def test_residue_cycle_takes_p_through_operator_index():
+    assert residue_cycle(np.int64(7), "odd") == residue_cycle(7, "odd")
+    with pytest.raises(DomainError, match="p must be an integer"):
+        residue_cycle(7.0, "odd")
+
+
 def test_masks_agree_with_scalar_rules():
     core = (2, 3, 5, 7, 11)
     pp = potential_prime_mask(2310, core)
@@ -347,6 +353,25 @@ def test_crt_round_trip_at_23_primorial(z):
 def test_crt_of_ragged_signatures(seeds, residues, expected):
     sig = ModularSignature(1, seeds, residues)
     assert crt_reconstruct(sig) == fold_crt(sig) == expected
+
+
+@pytest.mark.parametrize("residues", [(1.5, 2), (1, 2.0), (np.float64(1), 2), (1, "2")])
+def test_crt_rejects_non_integral_residues(residues):
+    with pytest.raises(DomainError, match="each residue must be an integer"):
+        crt_reconstruct(ModularSignature(1, (3, 5), residues))
+
+
+@pytest.mark.parametrize("residues, expected", [
+    ((True, np.int64(2)), 7),
+    ((np.uint8(2), True), 11),  # uint8 arithmetic would wrap
+    ((np.int32(2), 10**30 + 3), 8),  # an int32 less a big int would overflow
+    ((np.int64(2), np.int64(4), np.int64(6)), 104),
+])
+def test_crt_takes_bool_numpy_and_big_int_residues_exactly(residues, expected):
+    sig = ModularSignature(1, (3, 5, 7)[: len(residues)], residues)
+    back = crt_reconstruct(sig)
+    assert back == expected and type(back) is int
+    assert all(back % m == int(r) % m for m, r in zip(sig.seed_primes, residues))
 
 
 def test_crt_rejects_repeated_moduli():
