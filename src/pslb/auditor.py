@@ -237,9 +237,9 @@ def _audit_t4(cfg) -> ClaimReport:
         if sum(counts) != tot:
             rep.counterexamples.append(f"sum of cycle counts {sum(counts)} != totient {tot} for {B.value}")
         mean = sum(counts) / len(counts)
-        expect = tot / B.largest_factor
+        expect = tot * A.value / B.value  # B/A cycles share totient(B)
         if abs(mean - expect) > 1e-9:
-            rep.counterexamples.append(f"mean {mean} != totient/{B.largest_factor}")
+            rep.counterexamples.append(f"mean {mean} != totient*{A.value}/{B.value}")
         std = float(np.std(counts))
         rep.witnesses.append(
             f"{A.value} in {B.value}: mean {mean:.2f}, stddev {std:.2f} (no variance bound claimed)"

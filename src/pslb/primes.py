@@ -9,11 +9,13 @@ segmented sieve, `_prime_windows`, whose windows clear each seed from 211 up
 from its square and then take the seeds 3 to 199 from cached byte patterns.
 One module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
 and `next_prime` read its odd flags; it is re-sieved, at least doubled and at
-most to the primality budget, only when a limit past its end is asked for. A
-table for a cache file is sieved window by window straight into the file's
-packed bitset, and a loaded one answers from that bitset; neither holds one
-bool per odd integer unless asked for its flags. One ladder of the 64-bit
-primorials, built at import by trial division, serves every primorial lookup.
+most to the primality budget, only when a limit past its end is asked for.
+One table class keeps the odd flags in the form they were born in, one bool
+each or packed as a cache file's body, and derives the other once if asked:
+a table for a cache file is sieved window by window straight into the packed
+form, and a loaded one answers lookups and counts from it. One ladder of the
+64-bit primorials, built at import by trial division, serves every primorial
+lookup.
 """
 from __future__ import annotations
 
@@ -223,25 +225,45 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class PrimeTable:
     """Queryable set of primes up to an inclusive limit; its arrays are read-only.
 
-    A table holds its odd flags one bool per odd integer; `packed` and `load`
-    give a table that holds them 8 to a byte, as a cache file does.
+    A table is born with its odd flags in one of two forms: one bool per odd
+    integer (`PrimeTable(limit)`, sieved by `sieve_odd_flags`, or a view of
+    given flags) or packed 8 to a byte as a cache file keeps them (`packed`
+    and `load`). The other form is derived once, on first use: `is_prime`,
+    `prime_count` and `save` read the packed form, and `odd_prime_mask`,
+    `prime_mask` and `ordered_primes` the bool one.
     """
 
-    def __init__(self, limit: int, _odd_flags: np.ndarray | None = None):
+    def __init__(self, limit: int, _odd_flags: np.ndarray | None = None, _bits: np.ndarray | None = None):
         if limit < 2:
             raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
         self.limit = limit
-        if _odd_flags is None:
-            _odd_flags = sieve_odd_flags(limit)
-        self._odd = _read_only(_odd_flags)
+        if _bits is not None:
+            self._bits = _read_only(_bits)
+        else:
+            self._odd = _read_only(sieve_odd_flags(limit) if _odd_flags is None else _odd_flags)
         self._primes: np.ndarray | None = None
+
+    @cached_property
+    def _odd(self) -> np.ndarray:
+        """The bool form: one flag per odd integer, index i holds 2i + 1."""
+        return _read_only(np.unpackbits(self._bits, count=(self.limit + 1) // 2).view(bool))
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """The packed form: the odd flags 8 to a byte, most significant bit first."""
+        return _read_only(np.packbits(self._odd))
+
+    @cached_property
+    def _bytes(self) -> memoryview:
+        return memoryview(self._bits)  # indexed, a Python int; no NumPy scalar
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
             return False
         if n % 2 == 0:
             return n == 2
-        return bool(self._odd[n // 2])
+        i = n // 2
+        return bool(self._bytes[i >> 3] >> (7 - (i & 7)) & 1)
 
     def __contains__(self, n: int) -> bool:
         return self.is_prime(n)
@@ -254,8 +276,11 @@ class PrimeTable:
 
     @property
     def prime_count(self) -> int:
-        """pi(limit), counted off the odd flags without building the prime array."""
-        return 1 + int(np.count_nonzero(self._odd))  # limit >= 2, so 2 counts
+        """pi(limit): 2 and the bits set, in 64-bit words 64 KB at a time, then the tail bytes."""
+        bits, step = self._bits, 1 << 13
+        words = bits[: bits.size // 8 * 8].view(np.uint64)  # any alignment will do
+        return 1 + int(np.bitwise_count(bits[words.size * 8 :]).sum()) + sum(
+            int(np.bitwise_count(words[i : i + step]).sum()) for i in range(0, words.size, step))
 
     def odd_prime_mask(self) -> np.ndarray:
         """Read-only flag array over odd integers (index i holds 2i+1)."""
@@ -274,16 +299,12 @@ class PrimeTable:
         """The table up to limit: each packed window of `_prime_windows`, its
         seeds up to 199 ANDed in as byte patterns, is copied straight into the
         bitset a cache file keeps; no bool flag array is ever built."""
-        return _PackedTable(limit, _sieve_bits(limit))
+        return cls(limit, _bits=_sieve_bits(limit))
 
     # -- cache file ----------------------------------------------------------
 
-    def _bitset(self) -> np.ndarray:
-        """The odd flags packed 8 to a byte, most significant bit first."""
-        return np.packbits(self._odd)
-
     def save(self, path) -> None:
-        body = self._bitset()  # written and checksummed as a buffer, no bytes copy
+        body = self._bits  # written and checksummed as a buffer, no bytes copy
         crc = zlib.crc32(body, zlib.crc32(struct.pack("<Q", self.limit)))
         with open(path, "wb") as fh:
             fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.limit, crc))
@@ -323,44 +344,7 @@ class PrimeTable:
         tail = size % 8  # flags in the last byte; the bits after them are padding
         if tail and body[-1] & (0xFF >> tail):
             raise DomainError("bad sieve cache: padding bits set after the last flag")
-        return _PackedTable(limit, body)
-
-
-class _PackedTable(PrimeTable):
-    """A table born packed (`PrimeTable.packed` or `PrimeTable.load`).
-
-    `is_prime` reads one bit and `prime_count` counts the bits; anything else
-    unpacks the bitset once, on first use, into the read-only bool flags.
-    """
-
-    def __init__(self, limit: int, bits: np.ndarray):
-        self.limit = limit
-        self._bits = _read_only(bits)
-        self._bytes = memoryview(self._bits)  # indexed, a Python int; no NumPy scalar
-        self._primes = None
-
-    @cached_property
-    def _odd(self) -> np.ndarray:
-        return _read_only(np.unpackbits(self._bits, count=(self.limit + 1) // 2).view(bool))
-
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            return False
-        if n % 2 == 0:
-            return n == 2
-        i = n // 2
-        return bool(self._bytes[i >> 3] >> (7 - (i & 7)) & 1)
-
-    @property
-    def prime_count(self) -> int:
-        """pi(limit): 2 and the bits set, in 64-bit words 64 KB at a time, then the tail bytes."""
-        bits, step = self._bits, 1 << 13
-        words = bits[: bits.size // 8 * 8].view(np.uint64)  # any alignment will do
-        return 1 + int(np.bitwise_count(bits[words.size * 8 :]).sum()) + sum(
-            int(np.bitwise_count(words[i : i + step]).sum()) for i in range(0, words.size, step))
-
-    def _bitset(self) -> np.ndarray:
-        return self._bits
+        return cls(limit, _bits=body)
 
 
 # The shared table; it starts at _TABLE_FLOOR so small limits sieve once.

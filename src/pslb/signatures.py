@@ -1,7 +1,6 @@
 """Modular signatures: residue sequences, CRT reconstruction, classification."""
 from __future__ import annotations
 
-import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -38,6 +37,10 @@ class ModularSignature:
 
 _INT64_END = 1 << 63
 
+# The Garner steps a signature made by `signature` can take: 17 suffice, as
+# any 16 distinct primes multiply to at least 16# > 2^63 > z
+_ROW_STEPS = 17
+
 # A seed record holds the shared residue ints (about 36 bytes each) only while
 # its largest seed is below this: every seed set up to 23# (largest seed
 # 14,929), but not 37#, whose 2.7 million ints would take about 100 MB
@@ -52,7 +55,7 @@ class _SeedTuple(NamedTuple):
     # the ints 0 .. largest seed - 1 as a read-only object array, so equal
     # residues are one int; None when the largest seed is _SHARED_INTS_END or more
     values: np.ndarray | None
-    inverses: tuple[int, ...]  # the Garner inverses of the leading _BASIS_BLOCK seeds
+    inverses: tuple[int, ...]  # the Garner inverses of the leading _ROW_STEPS seeds
 
 
 def _as_int(z, name: str) -> int:
@@ -118,7 +121,7 @@ def _check_seeds(seeds: tuple) -> _SeedTuple:
         values = np.arange(ints[-1]).astype(object)
         values.flags.writeable = False
     # the record is the only cache these inverses need: walked uncached
-    inverses = _garner_basis.__wrapped__(ints[:_BASIS_BLOCK])[0]
+    inverses = _garner_basis.__wrapped__(ints[:_ROW_STEPS])[0]
     return _SeedTuple(ints, seed_array, values, inverses)
 
 
@@ -143,35 +146,18 @@ def signature(z: int, seeds) -> ModularSignature:
     return sig
 
 
-# Moduli per block of _garner_basis: a block's product of 14-bit seeds is
-# about 700 bits, so walking it stays in small integers.
-_BASIS_BLOCK = 48
-
-
 @_identity_first
 def _garner_basis(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray | None]:
     """M_k^-1 mod m_k for each modulus m_k, M_k the product of the moduli
     before it, and the moduli as an int64 array when each is a positive int64.
 
-    M_k mod m_k comes from one remainder per block of _BASIS_BLOCK moduli,
-    r = M mod (the block's product) with M the product of the moduli before
-    the block, walked through the block as r = r * m_k mod that product: one
-    level of a remainder tree (von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 10). A block whose product is zero or not an int walks the
-    full products instead. Either way pow raises ValueError at the first
-    modulus not coprime to those before it, and % ZeroDivisionError at a zero
-    modulus, whichever comes first.
+    pow raises ValueError at the first modulus not coprime to those before
+    it, and % ZeroDivisionError at a zero modulus, whichever comes first.
     """
     inverses, prefix = [], 1
-    for i in range(0, len(moduli), _BASIS_BLOCK):
-        block = moduli[i : i + _BASIS_BLOCK]
-        span = math.prod(block)
-        reduce = type(span) is int and span != 0
-        r = prefix % span if reduce else prefix
-        for m in block:
-            inverses.append(pow(r % m, -1, m))
-            r = r * m % span if reduce else r * m
-        prefix *= span
+    for m in moduli:
+        inverses.append(pow(prefix % m, -1, m))
+        prefix *= m
     try:
         moduli_array = np.array(moduli, dtype=np.int64)
     except OverflowError:
@@ -198,10 +184,9 @@ def _meets_every_residue(x: int, moduli: np.ndarray | None, residues) -> bool:
 
 
 def _crt_of_row(residues: tuple[int, ...], row: np.ndarray, rec: _SeedTuple) -> int:
-    """crt_reconstruct of a signature made by `signature`: z < 2^63, and the
-    product of any 16 distinct primes is at least 16#, past 2^63, so x reaches
-    z within 16 steps and the 17th finds t = 0: the walk reads only the
-    record's leading inverses. Fewer seeds are all walked, giving z mod M.
+    """crt_reconstruct of a signature made by `signature`: x reaches z < 2^63
+    within 16 steps and the 17th finds t = 0, so the walk reads only the
+    record's _ROW_STEPS inverses. Fewer seeds are all walked, giving z mod M.
     """
     last_m, last_r = rec.ints[-1], residues[-1]
     x, prefix = 0, 1

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import census, goldbach, scaffold
 from .errors import DomainError
-from .primes import is_prime, nth_primorial, seed_prime_set
+from .primes import is_prime, max_seed_prime_for, nth_primorial, seed_prime_set
 from .signatures import classify, is_potential_twin, signature
 
 TABLE_COUNT = 21
@@ -235,11 +235,9 @@ def _table17() -> TableData:
 def _table18() -> TableData:
     cols = ("index", "M", "N", "avg_1", "avg_2", "ratio", "T_ratio", "pf_ratio")
     rows: list[list] = [[1, 210, "13#", None, None, None, None, None]]
-    # rows of table 17 do not depend on how many are built
-    two_primorial = scaffold.build_table17(9)
     for r in scaffold.build_table18(9):
         rows.append([
-            r.index, r.M2.value, f"{two_primorial[r.index - 1].P_b}#",
+            r.index, r.M2.value, f"{max_seed_prime_for(r.M2.value)}#",  # table 17's P_b
             scaffold.round_display(r.avg_1), scaffold.round_display(r.avg_2),
             round(r.ratio, 4), r.T_ratio, round(r.pf_ratio, 4),
         ])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pslb import auditor, census, goldbach, scaffold
+from pslb import auditor, census, goldbach, primes, scaffold
 from pslb.errors import BudgetError, DomainError
 
 
@@ -135,6 +135,26 @@ def test_t5_reports_a_certified_composite(monkeypatch):
     monkeypatch.undo()
     assert auditor.audit("T5", "small").witnesses == [
         "row 1: 40 potential solutions < 289 all prime", "row 2: 328 potential solutions < 2809 all prime"]
+
+
+@pytest.mark.parametrize("pair", [(2, 7), (3, 5), (3, 4)])
+def test_t4_mean_holds_for_any_primorial_pair(monkeypatch, pair):
+    # B/A cycles share totient(B), so the mean per cycle is totient(B) * A / B,
+    # which is totient(B) / P_B only when B = A * P_B
+    cfg = dict(auditor.SCALES["small"], t4_pairs=(pair,))
+    assert auditor.audit("T4", cfg).status == auditor.PASS
+    cycle_census = census.cycle_census
+
+    def one_more(inner, outer, *args, **kwargs):
+        first, *rest = cycle_census(inner, outer, *args, **kwargs)
+        return [dataclasses.replace(first, potential_primes=first.potential_primes + 1), *rest]
+
+    monkeypatch.setattr(census, "cycle_census", one_more)
+    rep = auditor.audit("T4", cfg)
+    assert rep.status == auditor.FAIL
+    A, B = map(primes.nth_primorial, pair)
+    assert [c.split(" != ")[1] for c in rep.counterexamples] == [
+        f"totient {census.totient_of_primorial(B)} for {B.value}", f"totient*{A.value}/{B.value}"]
 
 
 @pytest.mark.parametrize("claim", ["T9", "P6"])

@@ -564,7 +564,7 @@ def test_packed_build_equals_the_packed_sieve(window):
         for limit, bits in zip(limits, expected):
             table = PrimeTable.packed(limit)
             assert table.limit == limit
-            assert np.array_equal(table._bitset(), bits), limit
+            assert np.array_equal(table._bits, bits), limit
             assert "_odd" not in vars(table)  # never unpacked
 
 
@@ -574,9 +574,9 @@ def check_every_sieve_against_plain(limit, path):
     flags = plain_odd_flags(limit)
     assert np.array_equal(sieve_odd_flags(limit), flags), limit
     table = PrimeTable.packed(limit)
-    assert np.array_equal(table._bitset(), np.packbits(flags)), limit
+    assert np.array_equal(table._bits, np.packbits(flags)), limit
     table.save(path)  # load refuses set padding bits
-    assert np.array_equal(PrimeTable.load(path)._bitset(), np.packbits(flags)), limit
+    assert np.array_equal(PrimeTable.load(path)._bits, np.packbits(flags)), limit
 
 
 PATTERN_EDGE_SEEDS = primes._PATTERN_PRIMES + (211,)  # 211: the first seed cleared stride by stride
@@ -596,7 +596,7 @@ def test_every_small_limit_equals_the_plain_sieve(window, last):
         for limit in range(2, last + 1):
             flags = plain_odd_flags(limit)
             assert np.array_equal(sieve_odd_flags(limit), flags), limit
-            assert np.array_equal(PrimeTable.packed(limit)._bitset(), np.packbits(flags)), limit
+            assert np.array_equal(PrimeTable.packed(limit)._bits, np.packbits(flags)), limit
 
 
 @pytest.mark.parametrize("window", [8, 9, 64, primes._WINDOW])
@@ -766,15 +766,38 @@ def test_cache_verify_of_an_endless_file_exits_1():
 
 @pytest.mark.parametrize("nbytes", [1, 7, 8, 9, 15, 17, 65_535, 65_536, 65_537, 131_079])
 def test_packed_prime_count_at_any_bitset_length_and_alignment(tmp_path, nbytes):
-    limit = 16 * nbytes - 1  # 8 * nbytes odd flags, so the bitset is nbytes long
+    # a bitset of nbytes, its last byte full at an even nbytes and one flag
+    # short at an odd one; every way a table is born must answer alike
+    limit = 16 * nbytes - 1 - 2 * (nbytes % 2)
+    flags = plain_odd_flags(limit)
+    expected = np.zeros(limit + 3, dtype=bool)  # is_prime(n) for n in 0 .. limit + 2
+    expected[1 : limit + 1 : 2], expected[2] = flags, True
+    ordered = np.flatnonzero(expected)
     path = tmp_path / "p.sieve"
     PrimeTable.packed(limit).save(path)
+    saved = path.read_bytes()
+    assert saved[17:] == np.packbits(flags).tobytes()
     # the body one byte past an 8-byte boundary, as at its file offset 17
     unaligned = np.zeros(nbytes // 8 + 2, dtype=np.uint64).view(np.uint8)[1 : nbytes + 1]
-    unaligned[:] = np.frombuffer(path.read_bytes(), dtype=np.uint8, offset=17)
+    unaligned[:] = np.frombuffer(saved, dtype=np.uint8, offset=17)
     assert unaligned.ctypes.data % 8 == 1
-    expected = 1 + np.count_nonzero(np.unpackbits(unaligned))
-    for table in (PrimeTable.packed(limit), PrimeTable.load(path),
-                  primes._PackedTable(limit, unaligned)):
-        assert table._bitset().size == nbytes
-        assert table.prime_count == expected == PrimeTable(limit).prime_count, limit
+    with empty_shared_table():
+        born_bool = {"bool": PrimeTable(limit), "view": primes_up_to(limit)}
+        born_packed = {"packed": PrimeTable.packed(limit), "load": PrimeTable.load(path),
+                       "unaligned": PrimeTable(limit, _bits=unaligned)}
+        for name, table in born_bool.items():  # the bool queries never pack
+            assert np.array_equal(table.odd_prime_mask(), flags), name
+            assert np.array_equal(table.ordered_primes, ordered), name
+            assert "_bits" not in vars(table), name
+        for name, table in {**born_packed, **born_bool}.items():
+            ns = range(limit + 3)
+            assert np.array_equal(np.fromiter(map(table.is_prime, ns), dtype=bool, count=len(ns)), expected), name
+            assert -1 not in table
+            assert table.prime_count == ordered.size, name
+            assert table._bits.size == nbytes, name
+            table.save(tmp_path / "again.sieve")
+            assert (tmp_path / "again.sieve").read_bytes() == saved, name
+        for name, table in born_packed.items():  # the packed queries never unpack
+            assert "_odd" not in vars(table), name
+            assert np.array_equal(table.odd_prime_mask(), flags), name
+            assert np.array_equal(table.ordered_primes, ordered), name

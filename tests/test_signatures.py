@@ -672,63 +672,28 @@ def test_seed_tuple_is_checked_once(monkeypatch):
     assert lookups == [seeds[-1]]
 
 
-# -- the blocked Garner basis against a plain walk -----------------------------
+# -- hand-built signatures over edge moduli -----------------------------------
 
-def plain_basis(moduli):
-    """Oracle: M_k^-1 mod m_k with M_k mod m_k taken from the full product,
-    and the moduli array as _garner_basis builds it."""
-    inverses, prefix = [], 1
-    for m in moduli:
-        inverses.append(pow(prefix % m, -1, m))
-        prefix *= m
+# zero, signs, a bool, floats, NumPy ints, repeats and composites, also past
+# the leading 48 primes; each case pins what crt_reconstruct gives through the
+# basis's plain walk, or the exact type it raises
+EDGE_MODULI = [
+    ((3, 0, 5), ZeroDivisionError), ((6, 4, 0), ValueError), ((0,), ZeroDivisionError),
+    ((1, -1, 5), -3), ((-5, 7), -20), ((True, 3), 1), ((3, 3), ValueError),
+    ((3.0, 5.0), TypeError), ((4, 6, 3.0), ValueError), ((np.int64(3), np.int64(5)), TypeError),
+    (tuple(PRIMES_BELOW_20000[:48]) + (0,), ZeroDivisionError),
+    (tuple(PRIMES_BELOW_20000[:47]) + (6, 0), ValueError),
+]
+
+
+@pytest.mark.parametrize("moduli, expected", [
+    pytest.param(moduli, expected, id=f"moduli{i}") for i, (moduli, expected) in enumerate(EDGE_MODULI)])
+def test_blocked_basis_matches_the_plain_walk_on_edge_moduli(moduli, expected):
     try:
-        moduli_array = np.array(moduli, dtype=np.int64)
-    except OverflowError:
-        return tuple(inverses), None
-    return tuple(inverses), moduli_array if moduli_array.min() >= 1 else None
-
-
-def outcome(basis, moduli):
-    """basis(moduli) as plain values, or the type of what it raised."""
-    try:
-        inverses, moduli_array = basis(moduli)
-    except Exception as exc:  # the type is compared, whichever it is
-        return type(exc)
-    return inverses, None if moduli_array is None else moduli_array.tolist()
-
-
-BLOCK = signatures._BASIS_BLOCK
-EDGE_LENGTHS = sorted({0, 1, 31, 32, 33, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1,
-                       2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 300})
-ODD_MODULI = [0, 1, -1, -7, -19_997, 2**61 - 1, 2**64 + 13, 2**89 - 1, 6, 4]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_blocked_basis_equals_the_plain_walk(data):
-    n = data.draw(st.sampled_from(EDGE_LENGTHS) | st.integers(0, 300), label="n")
-    moduli = sorted(data.draw(st.lists(st.sampled_from(PRIMES_BELOW_20000), min_size=n, max_size=n,
-                                       unique=True), label="primes"))
-    # odd moduli land anywhere, block edges included: zero, signs, past 2^63,
-    # composites and repeats
-    for _ in range(data.draw(st.integers(0, 3), label="odd")):
-        if not moduli:
-            break
-        i = data.draw(st.integers(0, len(moduli) - 1), label="at")
-        moduli[i] = data.draw(st.sampled_from(ODD_MODULI) | st.sampled_from(moduli), label="modulus")
-    moduli = tuple(moduli)
-    got = outcome(signatures._garner_basis.__wrapped__, moduli)
-    assert got == outcome(plain_basis, moduli)
-
-
-@pytest.mark.parametrize("moduli", [
-    (3, 0, 5), (6, 4, 0), (0,), (1, -1, 5), (-5, 7), (True, 3), (3, 3),
-    (3.0, 5.0), (4, 6, 3.0), (np.int64(3), np.int64(5)),
-    tuple(PRIMES_BELOW_20000[:BLOCK]) + (0,), tuple(PRIMES_BELOW_20000[:BLOCK - 1]) + (6, 0),
-])
-def test_blocked_basis_matches_the_plain_walk_on_edge_moduli(moduli):
-    got = outcome(signatures._garner_basis.__wrapped__, moduli)
-    assert got == outcome(plain_basis, moduli)
+        got = crt_reconstruct(ModularSignature(1, moduli, range(len(moduli))))
+    except Exception as exc:  # the exact type is compared, whichever it is
+        got = type(exc)
+    assert got == expected and type(got) is type(expected)
 
 
 # -- seed records and bases found by identity ---------------------------------
