@@ -16,7 +16,7 @@ import numpy as np
 
 # CENSUS_CEILING and DEFAULT_FACTOR_BUDGET are importable from here too
 from .errors import (CENSUS_CEILING, DEFAULT_FACTOR_BUDGET, DEFAULT_PRIMALITY_BUDGET, _LIMITS, DomainError,
-                     _check_budget)
+                     _as_int, _check_budget)
 from .primes import (Primorial, _and_patterns, _byte_patterns, _prime_windows, _read_only, is_prime,
                      max_seed_prime_for)
 from .signatures import potential_twin_mask
@@ -156,6 +156,7 @@ def seed_multiple_level_counts(n: int) -> list[int]:
     n = 100, seeds 2, 3, 5, 7). The seeds are found by trial division, and
     one past the Eq. 1 seed cap refuses n, so no sieve is run.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     seeds = tuple(islice(filter(is_prime, range(2, math.isqrt(n) + 1)), _LIMITS["Eq. 1 seed cap"] + 1))

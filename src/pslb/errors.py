@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and every budget limit, each
-defined once and checked by `_check_budget`, the one source of BudgetError."""
+"""Exception types shared across the package, every budget limit, each
+defined once and checked by `_check_budget`, the one source of BudgetError,
+and `_as_int`, the one check that an integer input is an integer."""
+import operator
 
 
 class DomainError(ValueError):
@@ -39,3 +41,11 @@ def _check_budget(asked: str, demand: int, name: str, limit: int | None = None) 
     limit = _LIMITS[name] if limit is None else limit
     if demand > limit:
         raise BudgetError(f"{asked} {demand} exceeds {name} {limit}")
+
+
+def _as_int(z, name: str) -> int:
+    """z as an exact int (operator.index); DomainError if it is not integral."""
+    try:
+        return operator.index(z)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {z!r}") from None

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _check_budget
+from .errors import DomainError, _as_int, _check_budget
 from .primes import (
     _LADDER,
     _shared_table,
@@ -34,9 +34,12 @@ class GoldbachPair:
         return [(q, self.E % q, self.p1 % q, self.p2 % q) for q in seeds]
 
 
-def _check_even(E: int) -> None:
+def _even(E) -> int:
+    """E as an int; DomainError unless it is an even integer > 4."""
+    E = _as_int(E, "E")
     if E <= 4 or E % 2 != 0:
         raise DomainError(f"need an even integer > 4, got {E}")
+    return E
 
 
 def _paired(flags: np.ndarray, partners: np.ndarray, h: int, lo: int, hi: int) -> np.ndarray:
@@ -59,13 +62,14 @@ def _partners(E: int, flags: np.ndarray) -> np.ndarray:
 
 def goldbach_pairs(E: int) -> list[GoldbachPair]:
     """All prime pairs summing to E, ascending by the smaller member."""
-    _check_even(E)
+    E = _even(E)
     flags = primes_up_to(E).odd_prime_mask()
     return [GoldbachPair(E, p1, E - p1) for p1 in _partners(E, flags).tolist()]
 
 
 def pair_count_table(upper: int) -> list[tuple[int, int, int]]:
     """(E, E mod 3, pair count) for every even 6 <= E <= upper."""
+    upper = _as_int(upper, "upper")
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
     flags = primes_up_to(upper).odd_prime_mask()
@@ -102,7 +106,7 @@ class Mod3Rule:
 
 def mod3_rule(E: int) -> Mod3Rule:
     """The Table-9 rule row that applies to E."""
-    _check_even(E)
+    E = _even(E)
     cls = E % 3
     return Mod3Rule(cls, _MOD3_COMBINATIONS[cls], (3, 3) if E == 6 else None)
 
@@ -113,6 +117,7 @@ def residue_addition_table(p: int) -> np.ndarray:
     A grid of more cells than the primality budget raises BudgetError
     before anything is allocated.
     """
+    p = _as_int(p, "p")
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
     _check_budget("residue addition grid cells", p * p, "primality budget")
@@ -139,7 +144,7 @@ def mismatch_filter(E: int) -> list[int]:
     case where a shared residue class is allowed. p1 = 2 never passes: its
     partner is even and 2 is a seed.
     """
-    _check_even(E)
+    E = _even(E)
     table = primes_up_to(E)
     flags = table.odd_prime_mask()
     k = _paired(flags, flags, E // 2 - 1, 1, _mismatch_end(E, max_seed_prime_for(E)))
@@ -156,6 +161,7 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
     partners, not by T2 as mismatch_filter does. Neither the trivial half
     (its partner is itself) nor p1 = 2 (its partner is even) contributes.
     """
+    upper = _as_int(upper, "upper")
     if upper < 6:
         raise DomainError(f"need upper >= 6, got {upper}")
     flags = primes_up_to(upper).odd_prime_mask()
@@ -185,7 +191,7 @@ def mismatch_violations(upper: int) -> list[tuple[int, int]]:
 def exact_potential_goldbach_count(E: int) -> int:
     """Residue classes mod the least primorial >= E that stay odd, coprime to
     the core seeds and mismatched with E at each of them."""
-    _check_even(E)
+    E = _even(E)
     return math.prod((q - 1) if E % q == 0 else (q - 2)
                      for q in smallest_primorial_at_least(E).prime_factors[1:])
 
@@ -213,7 +219,7 @@ def goldbach_solve(E: int) -> GoldbachSolution:
     below _mismatch_end, so the least pair passed it exactly when its k does,
     and is then its least.
     """
-    _check_even(E)
+    E = _even(E)
     flags, half = _shared_table(E).odd_prime_mask(), E // 2
     if half % 2 and flags[half // 2]:  # E/2 >= 3 is an odd prime
         return GoldbachSolution(GoldbachPair(E, half, half), "case-1")

@@ -10,12 +10,13 @@ from its square and then take the seeds 3 to 199 from cached byte patterns.
 One module-level table serves every prime lookup: `primes_up_to`, `prev_prime`
 and `next_prime` read its odd flags; it is re-sieved, at least doubled and at
 most to the primality budget, only when a limit past its end is asked for.
-One table class keeps the odd flags in the form they were born in, one bool
-each or packed as a cache file's body, and derives the other once if asked:
-a table for a cache file is sieved window by window straight into the packed
-form, and a loaded one answers lookups and counts from it. One ladder of the
-64-bit primorials, built at import by trial division, serves every primorial
-lookup.
+Every table holds its odd flags packed as a cache file's body from birth,
+sieved window by window straight into that form, read from a cache file or
+sliced from the shared table's, and answers lookups, counts and saves from
+them; its bool flags, one per odd integer, are only ever unpacked from them
+or sliced from the shared table's, so no table packs its flags again. One
+ladder of the 64-bit primorials, built at import by trial division, serves
+every primorial lookup.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DEFAULT_PRIMALITY_BUDGET, _LIMITS, DomainError, PrimorialOverflowError, _check_budget
+from .errors import DEFAULT_PRIMALITY_BUDGET, _LIMITS, DomainError, PrimorialOverflowError, _as_int, _check_budget
 
 U64_MAX = 2**64 - 1
 
@@ -47,6 +48,7 @@ def is_prime(n: int) -> bool:
     Its divisors run to sqrt(n), so past the square of the primality budget
     (the trial-division reach) it raises BudgetError instead of running for hours.
     """
+    n = _as_int(n, "n")
     if n < 2:
         return False
     if n < 4:
@@ -208,6 +210,7 @@ def _and_patterns(bits: np.ndarray, at: int, patterns) -> None:
 def _sieve_bits(limit: int) -> np.ndarray:
     """The odd flags up to limit packed as a cache file's body: each window
     of _prime_windows copied straight in. The limit is checked first."""
+    limit = _as_int(limit, "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     _check_budget("sieve limit", limit, "primality budget")
@@ -222,26 +225,33 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _table_limit(limit) -> int:
+    """limit as an int; DomainError unless it is an integer >= 2."""
+    limit = _as_int(limit, "PrimeTable limit")
+    if limit < 2:
+        raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
+    return limit
+
+
 class PrimeTable:
     """Queryable set of primes up to an inclusive limit; its arrays are read-only.
 
-    A table is born with its odd flags in one of two forms: one bool per odd
-    integer (`PrimeTable(limit)`, sieved by `sieve_odd_flags`, or a view of
-    given flags) or packed 8 to a byte as a cache file keeps them (`packed`
-    and `load`). The other form is derived once, on first use: `is_prime`,
-    `prime_count` and `save` read the packed form, and `odd_prime_mask`,
-    `prime_mask` and `ordered_primes` the bool one.
+    A table holds its odd flags packed 8 to a byte, as a cache file keeps
+    them, from birth: `PrimeTable(limit)` and `packed` sieve them, `load`
+    reads them, and a `primes_up_to` view is a slice of the shared table's.
+    `is_prime`, `prime_count` and `save` read them. The bool flags, one per
+    odd integer, are only ever unpacked from them: at birth by
+    `PrimeTable(limit)`, on first use by `packed` and `load`, and a view
+    slices the shared table's. `odd_prime_mask`, `prime_mask` and
+    `ordered_primes` read those.
     """
 
-    def __init__(self, limit: int, _odd_flags: np.ndarray | None = None, _bits: np.ndarray | None = None):
-        if limit < 2:
-            raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
-        self.limit = limit
-        if _bits is not None:
-            self._bits = _read_only(_bits)
-        else:
-            self._odd = _read_only(sieve_odd_flags(limit) if _odd_flags is None else _odd_flags)
+    def __init__(self, limit: int, _bits: np.ndarray | None = None):
+        self.limit = _table_limit(limit)
+        self._bits = _read_only(_sieve_bits(self.limit) if _bits is None else _bits)
         self._primes: np.ndarray | None = None
+        if _bits is None:
+            self.odd_prime_mask()  # a sieved table unpacks its bool flags at birth
 
     @cached_property
     def _odd(self) -> np.ndarray:
@@ -249,15 +259,17 @@ class PrimeTable:
         return _read_only(np.unpackbits(self._bits, count=(self.limit + 1) // 2).view(bool))
 
     @cached_property
-    def _bits(self) -> np.ndarray:
-        """The packed form: the odd flags 8 to a byte, most significant bit first."""
-        return _read_only(np.packbits(self._odd))
-
-    @cached_property
     def _bytes(self) -> memoryview:
         return memoryview(self._bits)  # indexed, a Python int; no NumPy scalar
 
+    def _last_byte(self) -> int:
+        """The last byte of the packed flags with the bits past the limit
+        cleared: in a view it may hold the shared table's next flags."""
+        pad = -((self.limit + 1) // 2) % 8
+        return self._bytes[-1] >> pad << pad
+
     def is_prime(self, n: int) -> bool:
+        n = _as_int(n, "n")
         if n < 2 or n > self.limit:
             return False
         if n % 2 == 0:
@@ -276,11 +288,14 @@ class PrimeTable:
 
     @property
     def prime_count(self) -> int:
-        """pi(limit): 2 and the bits set, in 64-bit words 64 KB at a time, then the tail bytes."""
-        bits, step = self._bits, 1 << 13
+        """pi(limit): 2 and the bits set, in 64-bit words 64 KB at a time
+        (each block's count summed as uint32, so no cast buffer of uint64),
+        then the tail bytes and the last byte."""
+        bits, step = self._bits[:-1], 1 << 13
         words = bits[: bits.size // 8 * 8].view(np.uint64)  # any alignment will do
-        return 1 + int(np.bitwise_count(bits[words.size * 8 :]).sum()) + sum(
-            int(np.bitwise_count(words[i : i + step]).sum()) for i in range(0, words.size, step))
+        tail = bits[words.size * 8 :]
+        return 1 + self._last_byte().bit_count() + int(np.bitwise_count(tail).sum()) + sum(
+            int(np.bitwise_count(words[i : i + step]).sum(dtype=np.uint32)) for i in range(0, words.size, step))
 
     def odd_prime_mask(self) -> np.ndarray:
         """Read-only flag array over odd integers (index i holds 2i+1)."""
@@ -304,11 +319,13 @@ class PrimeTable:
     # -- cache file ----------------------------------------------------------
 
     def save(self, path) -> None:
-        body = self._bits  # written and checksummed as a buffer, no bytes copy
-        crc = zlib.crc32(body, zlib.crc32(struct.pack("<Q", self.limit)))
+        # the body is written and checksummed as a buffer, no bytes copy
+        body, last = self._bits[:-1], bytes([self._last_byte()])
+        crc = zlib.crc32(last, zlib.crc32(body, zlib.crc32(struct.pack("<Q", self.limit))))
         with open(path, "wb") as fh:
             fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.limit, crc))
             fh.write(body)
+            fh.write(last)
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
@@ -333,18 +350,17 @@ class PrimeTable:
             if not 2 <= limit <= DEFAULT_PRIMALITY_BUDGET:
                 raise DomainError(f"bad sieve cache: limit {limit} is below 2 or past the "
                                   f"primality budget {DEFAULT_PRIMALITY_BUDGET}")
-            size = (limit + 1) // 2
-            body = np.empty((size + 7) // 8, dtype=np.uint8)
+            body = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
             found = fh.readinto(body)
             if found != body.size or fh.read(1):
                 raise DomainError(f"bad sieve cache: expected {body.size} bitset bytes, found "
                                   f"{found if found < body.size else 'more'}")
         if zlib.crc32(body, zlib.crc32(head[5:13])) != stored:
             raise DomainError("bad sieve cache: checksum mismatch")
-        tail = size % 8  # flags in the last byte; the bits after them are padding
-        if tail and body[-1] & (0xFF >> tail):
+        table = cls(limit, _bits=body)
+        if table._last_byte() != body[-1]:
             raise DomainError("bad sieve cache: padding bits set after the last flag")
-        return cls(limit, _bits=body)
+        return table
 
 
 # The shared table; it starts at _TABLE_FLOOR so small limits sieve once.
@@ -365,18 +381,21 @@ def _shared_table(limit: int) -> PrimeTable:
     return _table
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed: a float limit is refused, not a hit
 def primes_up_to(limit: int) -> PrimeTable:
-    """All primes up to limit (inclusive): a table over a read-only slice of
-    the shared table's odd flags, whose prime array, if asked for, is built
-    from that slice alone."""
-    if limit < 2:
-        raise DomainError(f"PrimeTable limit must be >= 2, got {limit}")
-    return PrimeTable(limit, _shared_table(limit).odd_prime_mask()[: (limit + 1) // 2])
+    """All primes up to limit (inclusive): a view whose packed and bool flags
+    are read-only slices of the shared table's, no copy, and whose prime
+    array, if asked for, is built from its own flags alone."""
+    limit = _table_limit(limit)
+    table, size = _shared_table(limit), (limit + 1) // 2
+    view = PrimeTable(limit, _bits=table._bits[: (size + 7) // 8])
+    view._odd = table.odd_prime_mask()[:size]
+    return view
 
 
 def prev_prime(n: int) -> int:
     """Largest prime <= n, read off the shared table's odd flags down from n."""
+    n = _as_int(n, "n")
     if n < 2:
         raise DomainError(f"no prime at or below {n}")
     flags = _shared_table(n).odd_prime_mask()
@@ -390,12 +409,20 @@ def next_prime(n: int) -> int:
     """Smallest prime > n, read off the shared table's odd flags up from n.
 
     The shared table grows only when it holds no prime above n, and then to
-    2n (by Bertrand's postulate a prime lies in (n, 2n]), or first to the
-    primality budget if 2n is past it, and then the sieve refuses 2n.
+    2n (by Bertrand's postulate a prime lies in (n, 2n]). If 2n is past the
+    primality budget, (n, budget] is scanned by `is_prime` instead, which
+    stops at the first prime, one prime gap on; if it holds none, the sieve
+    limit 2n is refused, with nothing sieved.
     """
+    n = _as_int(n, "n")
     if n < 2:
         return 2
-    for limit in (2, max(n + 1, min(2 * n, DEFAULT_PRIMALITY_BUDGET)), 2 * n):
+    for limit in (2, 2 * n):
+        if limit > DEFAULT_PRIMALITY_BUDGET:
+            found = next(filter(is_prime, range(n + 1, DEFAULT_PRIMALITY_BUDGET + 1)), None)
+            if found is None:
+                _check_budget("sieve limit", limit, "primality budget")
+            return found
         flags = _shared_table(limit).odd_prime_mask()
         i = (n + 1) // 2  # the least odd integer > n
         while i < len(flags) and not flags[i]:
@@ -440,6 +467,7 @@ _LADDER_VALUES = [p.value for p in _LADDER]
 
 def nth_primorial(k: int) -> Primorial:
     """Product of the first k primes; rejects values beyond 64 bits."""
+    k = _as_int(k, "primorial index")
     if k < 1:
         raise DomainError(f"primorial index must be >= 1, got {k}")
     if k > len(_LADDER):

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .census import potential_solutions_T
-from .errors import DEFAULT_PRIMALITY_BUDGET, DomainError, _check_budget
+from .errors import DEFAULT_PRIMALITY_BUDGET, DomainError, _as_int, _check_budget
 from .primes import (Primorial, PrimeTable, max_seed_prime_for,
                      next_prime, nth_primorial, primes_up_to)
 
@@ -51,8 +51,8 @@ def _build_log_prefix(limit: int) -> _LogPrefix:
     The limbs are filled one block of primes at a time and then prefix-summed
     in place, so the build holds the two limb arrays and one block of terms.
     """
-    # the prime array of a table of its own, so it lives only as long as the prefix
-    primes = PrimeTable(limit, primes_up_to(limit).odd_prime_mask()).ordered_primes
+    # the prime array of an uncached view, so it lives only as long as the prefix
+    primes = primes_up_to.__wrapped__(limit).ordered_primes
     # the term smallest in magnitude is the largest prime's; it fixes the ulp
     shift = 53 - math.frexp(math.log1p(-2.0 / float(primes[-1])))[1]
     high = np.zeros(len(primes) + 1, dtype=np.int64)
@@ -93,6 +93,7 @@ def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
     budget) is dropped with its caller. The bounds are checked on the table
     the prefix reads, before the prefix is built.
     """
+    from_prime, to_prime = _as_int(from_prime, "from_prime"), _as_int(to_prime, "to_prime")
     doublings = (max(to_prime - 1, 0) // PRODUCT_FACTOR_PRIME_LIMIT).bit_length()
     limit = max(to_prime, min(PRODUCT_FACTOR_PRIME_LIMIT << doublings, DEFAULT_PRIMALITY_BUDGET))
     _span_table(from_prime, to_prime, limit)

@@ -1,7 +1,6 @@
 """Modular signatures: residue sequences, CRT reconstruction, classification."""
 from __future__ import annotations
 
-import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -9,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_int
 # residue_sieve is only re-exported: pslb.signatures.residue_sieve is the kernel
 from .primes import SeedPrimeSet, is_prime, primes_up_to, residue_sieve, seed_free_odd_mask
 
@@ -56,14 +55,6 @@ class _SeedTuple(NamedTuple):
     # residues are one int; None when the largest seed is _SHARED_INTS_END or more
     values: np.ndarray | None
     inverses: tuple[int, ...]  # the Garner inverses of the leading _ROW_STEPS seeds
-
-
-def _as_int(z, name: str) -> int:
-    """z as an exact int (operator.index); DomainError if it is not integral."""
-    try:
-        return operator.index(z)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {z!r}") from None
 
 
 def _identity_first(fn):

@@ -137,6 +137,39 @@ def test_t5_reports_a_certified_composite(monkeypatch):
         "row 1: 40 potential solutions < 289 all prime", "row 2: 328 potential solutions < 2809 all prime"]
 
 
+def drop_prime(monkeypatch, p):
+    """Make auditor.primes_up_to return its tables without the prime p: the
+    bit of p cleared in a copy of the packed flags, which the bool ones unpack."""
+    def without_p(limit):
+        bits, i = primes.primes_up_to(limit)._bits.copy(), p // 2
+        if p <= limit:
+            bits[i >> 3] &= 0xFF ^ (0x80 >> (i & 7))
+        return primes.PrimeTable(limit, _bits=bits)
+
+    monkeypatch.setattr(auditor, "primes_up_to", without_p)
+
+
+def test_t2_reports_a_dropped_prime(monkeypatch):
+    drop_prime(monkeypatch, 10_007)  # no seed of 30030, whose seeds end at 173
+    rep = auditor.audit("T2", "small")
+    assert rep.status == auditor.FAIL
+    assert rep.counterexamples == [10_007]
+    assert rep.witnesses == []  # no "certified <=> prime" left
+
+
+def test_p6_reports_each_e_whose_pair_holds_a_dropped_prime(monkeypatch):
+    solved = auditor._solutions(auditor.SCALES["small"]["p6_upper"])
+    holding = [f"E={E}" for E, sol in solved.items() if 113 in (sol.pair.p1, sol.pair.p2)]
+    assert holding == ["E=116", "E=120", "E=124", "E=126", "E=226"]  # 226 = 113 + 113, case 1
+    clean = auditor.audit("P6", "small")
+    drop_prime(monkeypatch, 113)
+    rep = auditor.audit("P6", "small")
+    assert rep.status == auditor.FAIL
+    assert rep.counterexamples == holding
+    # the one witness is the solver's case split, which no table read changes
+    assert rep.witnesses == clean.witnesses and clean.witnesses[0].startswith("case split:")
+
+
 @pytest.mark.parametrize("pair", [(2, 7), (3, 5), (3, 4)])
 def test_t4_mean_holds_for_any_primorial_pair(monkeypatch, pair):
     # B/A cycles share totient(B), so the mean per cycle is totient(B) * A / B,

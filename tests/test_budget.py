@@ -61,6 +61,9 @@ REFUSALS = {
     "PrimeTable.packed": (lambda: PrimeTable.packed(PAST_1E8), None),
     "primes_up_to": (lambda: primes_up_to(PAST_1E8), None),
     "next_prime": (lambda: next_prime(10**8), None),
+    # 2n is past the budget, so (n, 1e8] is scanned by trial division: it holds no prime
+    "next_prime past the last prime below 1e8": (lambda: next_prime(99_999_989),
+                                                 lambda: next_prime(99_999_988) == 99_999_989),
     "is_prime": (lambda: is_prime(10**16 + 1), lambda: is_prime(10**16) is False),
     "signature seeds": (lambda: signature(5, (2, 100_000_007)), None),
     "goldbach_solve": (lambda: goldbach_solve(10**8 + 2), None),
@@ -68,11 +71,10 @@ REFUSALS = {
     "product_factor_fraction": (lambda: product_factor_fraction(3, 100_000_007), None),
 }
 
-# these know their demand only from a sieve within the primality budget (about
-# 0.5 s and 54 MB each): the primes in the span, or that none lies above n in it
+# this knows its demand, the primes in the span, only from a sieve within the
+# primality budget (about 0.5 s and 54 MB)
 SIEVED_FIRST = {
     "product_factor_fraction exact-product cap": lambda: product_factor_fraction(3, 99_999_989),
-    "next_prime past the last prime below 1e8": lambda: next_prime(99_999_989),
 }
 
 # CLI form: (argv just past the limit, argv at it or None)

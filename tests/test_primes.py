@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb import cli, primes
+from pslb import census, cli, goldbach, primes, scaffold
 from pslb.errors import BudgetError, DomainError, PrimorialOverflowError
 from pslb.primes import (
     PrimeTable,
@@ -149,11 +149,17 @@ def empty_shared_table():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(2, 300_000), min_size=1, max_size=8))
-def test_shared_table_views_equal_fresh_tables(limits):
+def test_shared_table_views_equal_fresh_tables(tmp_path_factory, limits):
+    path = tmp_path_factory.mktemp("view") / "p.sieve"
     with empty_shared_table():  # grow the shared table in the drawn order
         for limit in limits:
             view, fresh = primes_up_to(limit), PrimeTable(limit)
             assert view.limit == fresh.limit and view.prime_count == fresh.prime_count
+            # a view's last byte may hold the shared table's next flags; saved, they are padding 0s
+            fresh.save(path)
+            saved = path.read_bytes()
+            view.save(path)
+            assert path.read_bytes() == saved
             assert np.array_equal(view.ordered_primes, fresh.ordered_primes)
             assert np.array_equal(view.prime_mask(), fresh.prime_mask())
             for n in (limit, limit + 1):
@@ -211,6 +217,29 @@ def test_prime_count_of_a_loaded_table(tmp_path_factory, limit):
     PrimeTable(limit).save(path)
     loaded = PrimeTable.load(path)
     assert loaded.prime_count == len(loaded.ordered_primes) == len(PrimeTable(limit).ordered_primes)
+
+
+def test_sieved_table_counts_asks_and_saves_from_its_sieved_bits(tmp_path):
+    # the sieve's packed bits are kept, so none of these packs the flags again (625 KB)
+    table, path = PrimeTable(10**7), tmp_path / "p.sieve"
+    for ask in (lambda: table.prime_count, lambda: table.is_prime(9_999_991), lambda: table.save(path)):
+        assert traced_peak(ask) < 64 * 2**10
+    assert table.prime_count == 664_579 and table.is_prime(9_999_991)
+
+
+def test_views_slice_both_forms_of_the_shared_table():
+    with empty_shared_table():
+        primes_up_to(4_000_001)  # the shared table's limit
+        # the twin primes 3999659 and 3999661 share a byte, which the view ends in
+        view, fresh = primes_up_to(3_999_659), PrimeTable(3_999_659)
+        assert primes._table.limit == 4_000_001 and primes._table.is_prime(3_999_661)
+        for form in ("_bits", "_odd"):
+            assert np.shares_memory(getattr(view, form), getattr(primes._table, form)), form
+        # neither copies the 250 KB of flags the view holds
+        assert traced_peak(lambda: view.is_prime(3_999_659)) < 64 * 2**10
+        assert traced_peak(lambda: view.prime_count) < 64 * 2**10
+        assert view.is_prime(3_999_659) and not view.is_prime(3_999_661)
+        assert view.prime_count == fresh.prime_count
 
 
 def test_prime_count_at_budget_builds_no_prime_array():
@@ -782,14 +811,15 @@ def test_packed_prime_count_at_any_bitset_length_and_alignment(tmp_path, nbytes)
     unaligned[:] = np.frombuffer(saved, dtype=np.uint8, offset=17)
     assert unaligned.ctypes.data % 8 == 1
     with empty_shared_table():
-        born_bool = {"bool": PrimeTable(limit), "view": primes_up_to(limit)}
+        born_sieved = {"sieved": PrimeTable(limit), "view": primes_up_to(limit)}
         born_packed = {"packed": PrimeTable.packed(limit), "load": PrimeTable.load(path),
                        "unaligned": PrimeTable(limit, _bits=unaligned)}
-        for name, table in born_bool.items():  # the bool queries never pack
+        view, shared = born_sieved["view"], primes._table  # the view slices both of its forms
+        assert np.shares_memory(view._bits, shared._bits) and np.shares_memory(view._odd, shared._odd)
+        for name, table in born_sieved.items():
             assert np.array_equal(table.odd_prime_mask(), flags), name
             assert np.array_equal(table.ordered_primes, ordered), name
-            assert "_bits" not in vars(table), name
-        for name, table in {**born_packed, **born_bool}.items():
+        for name, table in {**born_packed, **born_sieved}.items():
             ns = range(limit + 3)
             assert np.array_equal(np.fromiter(map(table.is_prime, ns), dtype=bool, count=len(ns)), expected), name
             assert -1 not in table
@@ -801,3 +831,44 @@ def test_packed_prime_count_at_any_bitset_length_and_alignment(tmp_path, nbytes)
             assert "_odd" not in vars(table), name
             assert np.array_equal(table.odd_prime_mask(), flags), name
             assert np.array_equal(table.ordered_primes, ordered), name
+
+
+# every integer input: (the call, with a float where the integer goes)
+NOT_INTEGERS = {
+    "is_prime": lambda: is_prime(7.5),
+    "PrimeTable.is_prime": lambda: PrimeTable(100).is_prime(7.5),
+    "prev_prime": lambda: prev_prime(10.5),
+    "next_prime": lambda: next_prime(10.5),
+    "PrimeTable": lambda: PrimeTable(10.5),
+    "PrimeTable.packed": lambda: PrimeTable.packed(10.5),
+    "sieve_odd_flags": lambda: sieve_odd_flags(10.5),
+    "primes_up_to": lambda: primes_up_to(10.5),
+    "primes_up_to of an integral float": lambda: primes_up_to(10.0),  # not the cached view of 10
+    "nth_primorial": lambda: nth_primorial(2.5),
+    "goldbach_solve": lambda: goldbach.goldbach_solve(10.0),
+    "goldbach_pairs": lambda: goldbach.goldbach_pairs(10.0),
+    "mismatch_filter": lambda: goldbach.mismatch_filter(10.0),
+    "mismatch_violations": lambda: goldbach.mismatch_violations(10.5),
+    "pair_count_table": lambda: goldbach.pair_count_table(10.5),
+    "mod3_rule": lambda: goldbach.mod3_rule(10.0),
+    "exact_potential_goldbach_count": lambda: goldbach.exact_potential_goldbach_count(10.0),
+    "residue_addition_table": lambda: goldbach.residue_addition_table(10.5),
+    "product_factor": lambda: scaffold.product_factor(3, 7.0),
+    "product_factor_fraction": lambda: scaffold.product_factor_fraction(3.0, 7),
+    "seed_multiple_level_counts": lambda: census.seed_multiple_level_counts(100.0),
+    "prime_count_via_eq1": lambda: census.prime_count_via_eq1(100.0),
+}
+
+
+@pytest.mark.parametrize("name", NOT_INTEGERS)
+def test_a_float_for_an_integer_raises_domain_error(name):
+    primes_up_to(10)  # cached, so a float equal to it must not be a hit
+    with pytest.raises(DomainError, match="must be an integer"):
+        NOT_INTEGERS[name]()
+
+
+def test_numpy_integers_are_integers():
+    n = np.int64(97)
+    assert is_prime(n) and PrimeTable(100).is_prime(n) and n in primes_up_to(np.int64(100))
+    assert (prev_prime(n), next_prime(n), nth_primorial(np.int64(3)).value) == (97, 101, 30)
+    assert goldbach.goldbach_solve(np.int64(98)).pair == goldbach.goldbach_solve(98).pair
