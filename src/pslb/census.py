@@ -17,19 +17,21 @@ import numpy as np
 # CENSUS_CEILING and DEFAULT_FACTOR_BUDGET are importable from here too
 from .errors import (CENSUS_CEILING, DEFAULT_FACTOR_BUDGET, DEFAULT_PRIMALITY_BUDGET, _LIMITS, DomainError,
                      _as_int, _check_budget)
-from .primes import (Primorial, _and_patterns, _byte_patterns, _prime_windows, _read_only, is_prime,
-                     max_seed_prime_for)
+from .primes import (Primorial, _and_patterns, _as_primorial, _byte_patterns, _prime_windows, _read_only,
+                     is_prime, max_seed_prime_for)
 from .signatures import potential_twin_mask
 
 
 def totient_of_primorial(p: Primorial) -> int:
     """Euler totient of a primorial: product of (factor - 1)."""
+    p = _as_primorial(p, "p")
     return math.prod(f - 1 for f in p.prime_factors)
 
 
 def potential_solutions_T(p: Primorial) -> int:
     """Potential twin / Goldbach solution count: product of (factor - 2)
     over the odd prime factors."""
+    p = _as_primorial(p, "p")
     if p.value < 6:
         raise DomainError(f"need primorial >= 6, got {p.value}")
     return math.prod(f - 2 for f in p.prime_factors[1:])
@@ -125,6 +127,7 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
     smallest factor is therefore a non-core seed prime. BudgetError past the
     budget or the primality budget, where the members would pass 100 MB.
     """
+    p = _as_primorial(p, "p")
     _check_budget("new composites of primorial", p.value, "primality budget")
     _check_budget("primorial", p.value, "factor-sieve budget", budget)
     windows = [(lo, words[0] & ~words[1]) for lo, _, words in _kept_words(p)]  # potential, not prime
@@ -143,6 +146,7 @@ def new_composites(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> NewComp
 
 def prime_count_via_eq3(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:
     """Prime count below a primorial from core count, totient and new composites."""
+    p = _as_primorial(p, "p")
     n_b = int(_census_fold(p, p.value, budget)[3, 0])
     return len(p.prime_factors) + totient_of_primorial(p) - 1 - n_b
 
@@ -227,6 +231,7 @@ def cycle_census(inner: Primorial, outer: Primorial,
     true twin only when its anchor is a potential twin and both members are
     prime, which keeps anchors whose partner is a core seed out of the count.
     """
+    inner, outer = _as_primorial(inner, "inner"), _as_primorial(outer, "outer")
     if outer.value % inner.value != 0:
         raise DomainError(f"{inner.value} does not divide {outer.value}")
     _check_budget("cycles", outer.value // inner.value, "census cycle cap")
@@ -254,6 +259,7 @@ class Figure1Window:
 def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Figure1Window]:
     """Potential primes per window of twice the max seed prime, with the
     running new-composite total; the final window keeps its true length."""
+    p = _as_primorial(p, "p")
     _check_census(p, budget)  # before the max seed's table is read
     max_seed = max_seed_prime_for(p.value)  # a window's odd half is max_seed flags
     counts = _census_fold(p, max_seed, budget)
@@ -274,4 +280,5 @@ def figure1_series(p: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> list[Fi
 
 def true_twin_count(limit_primorial: Primorial, budget: int = DEFAULT_FACTOR_BUDGET) -> int:
     """True twins up to a primorial under its own core-seed conventions."""
+    limit_primorial = _as_primorial(limit_primorial, "limit_primorial")
     return int(_census_fold(limit_primorial, limit_primorial.value, budget)[2, 0])

@@ -450,6 +450,15 @@ class Primorial:
         return f"{self.largest_factor}#"
 
 
+def _as_primorial(p, name: str) -> Primorial:
+    """p itself if it is one of the ladder's primorials (nth_primorial's);
+    DomainError naming the argument otherwise, a hand-built Primorial
+    whose value or factors are not a primorial's included."""
+    if not (isinstance(p, Primorial) and 0 < p.k <= len(_LADDER) and _LADDER[p.k - 1] == p):
+        raise DomainError(f"{name} must be a Primorial from nth_primorial, got {p!r}")
+    return p
+
+
 def _primorial_ladder() -> tuple[Primorial, ...]:
     """2#, 3#, 5#, ..., 47#: every primorial that fits in 64 bits (53# does not)."""
     ladder = [Primorial(2, (2,))]
@@ -523,6 +532,7 @@ def seed_prime_set(p: Primorial) -> SeedPrimeSet:
 
     Memoised per primorial; a primorial below 30 raises on every call.
     """
+    p = _as_primorial(p, "p")
     if p.value < 30:
         raise DomainError(f"seed prime partition needs primorial >= 30, got {p.value}")
     odd = 2 * np.flatnonzero(primes_up_to(math.isqrt(p.value)).odd_prime_mask()) + 1

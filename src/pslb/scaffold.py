@@ -11,14 +11,20 @@ import numpy as np
 
 from .census import potential_solutions_T
 from .errors import DEFAULT_PRIMALITY_BUDGET, DomainError, _as_int, _check_budget
-from .primes import (Primorial, PrimeTable, max_seed_prime_for,
-                     next_prime, nth_primorial, primes_up_to)
+from .primes import (Primorial, is_prime, max_seed_prime_for, next_prime, nth_primorial,
+                     primes_up_to)
 
 # the least table the scaffold asks for: it covers 2,724,109, the largest row
 # bound, so every table row reads one prefix
 PRODUCT_FACTOR_PRIME_LIMIT = 2_800_000
 # primes per block of log1p terms while the prefix is built
-_PREFIX_BLOCK = 1 << 15
+_PREFIX_BLOCK = 1 << 13
+# NumPy's guess at a term is kept only below 2**-11 in magnitude (the primes
+# past 4,096), where _ulps_off is within 2**-10.7 ulp of its exact value, and
+# only where it is nearer than half an ulp by more than this margin
+_GUESS_RANGE = 2.0**-11
+_ROUNDING_MARGIN = 2.0**-10
+
 
 @dataclass(frozen=True)
 class _LogPrefix:
@@ -29,8 +35,12 @@ class _LogPrefix:
     into two exact int64 limbs, above and below 2**32, and each limb column is
     prefix-summed; up to the primality budget the sums stay below 2**56. A
     slice sum is therefore an exact integer, and dividing it by 2**shift
-    rounds once, to the same float that math.fsum of the slice returns.
-    Entry k of each prefix is the sum over primes[:k]; prime 2 adds nothing.
+    rounds once, to the same float that math.fsum of the slice's math.log1p
+    terms returns. That rests on _log_terms' rounding check: a term is
+    NumPy's guess only where the check proves it correctly rounded, and
+    math.log1p otherwise, and the tests find math.log1p equal to those terms
+    at every prime up to 2.8M and at sampled primes up to 1e8. Entry k of
+    each prefix is the sum over primes[:k]; prime 2 adds nothing.
     """
 
     primes: np.ndarray
@@ -42,6 +52,63 @@ class _LogPrefix:
         """Correctly rounded sum of log1p(-2/q) over primes[i:j], i >= 1."""
         exact = ((int(self.high[j]) - int(self.high[i])) << 32) + int(self.low[j]) - int(self.low[i])
         return -exact / (1 << self.shift)
+
+
+def _ulps_off(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(log1p(x) - y) / ulp(y) for guesses y at log1p(x) with -2**-11 < y < 0,
+    within 2**-10.7 of the exact figure; NaN where y is a power of two, whose
+    ulp is halved below it.
+
+    The residual r = x - expm1(y) is (x - y) - y**2/2 - (y**3/6 + y**4/24 +
+    y**5/120), and r / (1 + x) = 1 - exp(y - log1p(x)), which is log1p(x) - y
+    to a relative 2**-60. x - y is exact (Sterbenz), and the roundings after
+    it add at most, in ulps of y (an ulp of y exceeds |y| * 2**-53):
+    - |y|/2 for the rounding of y*y, halved (2**-54 * y**2);
+    - 2**53 * |y|**5 / 719 for the series' tail, y**6/720 + ...;
+    - 2**-20 for the rest: the cubic part to a relative 2**-50, the
+      subtraction of a value near y**3/6, and the final division.
+    Below 2**-11 that is 2**-12 + 2**-11.49 + 2**-20 < 2**-10.7 ulp, so
+    _ROUNDING_MARGIN = 2**-10 covers it with no exact product of y*y.
+    """
+    y2 = y * y
+    cubic = y * (1 / 120)
+    cubic += 1 / 24
+    cubic *= y
+    cubic += 1 / 6
+    cubic *= y
+    cubic *= y2
+    r = x - y
+    y2 *= 0.5
+    r -= y2
+    r -= cubic
+    r /= np.add(x, 1.0, out=cubic)
+    # y = mantissa * 2**exponent with 1/2 <= |mantissa| < 1, so its ulp is 2**(exponent - 53)
+    mantissa, exponent = np.frexp(y)
+    np.ldexp(r, np.subtract(53, exponent, out=exponent), out=r)
+    r[mantissa == -0.5] = np.nan
+    return r
+
+
+def _log_terms(q: np.ndarray) -> np.ndarray:
+    """log1p(-2/q) for each prime q > 2, each correctly rounded or equal to
+    math.log1p.
+
+    np.log1p gives each term's guess y, which NumPy may take from a SIMD loop
+    that is not correctly rounded. By Ziv's rounding test (ACM TOMS 17(3),
+    1991), y is kept where it is provably the nearest float to log1p: below
+    2**-11 in magnitude, not a power of two, and within 1/2 - _ROUNDING_MARGIN
+    ulp by _ulps_off. Every other term is taken from math.log1p: up to 2.8M,
+    977 of the 203,361 terms, 563 of them the primes below 4,096.
+    """
+    x = -2.0 / q
+    y = np.log1p(x)
+    off = _ulps_off(x, y)
+    keep = off < 0.5 - _ROUNDING_MARGIN
+    keep &= off > _ROUNDING_MARGIN - 0.5
+    keep &= y > -_GUESS_RANGE
+    redo = np.flatnonzero(~keep)
+    y[redo] = [math.log1p(v) for v in x[redo].tolist()]
+    return y
 
 
 @lru_cache(maxsize=1)
@@ -58,29 +125,26 @@ def _build_log_prefix(limit: int) -> _LogPrefix:
     high = np.zeros(len(primes) + 1, dtype=np.int64)
     low = np.zeros(len(primes) + 1, dtype=np.int64)
     for b in range(1, len(primes), _PREFIX_BLOCK):
-        block = primes[b:b + _PREFIX_BLOCK]
-        terms = np.fromiter(map(math.log1p, memoryview(-2.0 / block)), dtype=np.float64, count=len(block))
-        scaled = np.ldexp(-terms, shift - 32)
+        scaled = _log_terms(primes[b:b + _PREFIX_BLOCK])
+        np.negative(scaled, out=scaled)
+        np.ldexp(scaled, shift - 32, out=scaled)
         top = np.floor(scaled)
         scaled -= top
         # term k of the block is prime b + k, which prefix entry b + k + 1 includes
-        rows = slice(b + 1, b + 1 + len(block))
+        rows = slice(b + 1, b + 1 + len(scaled))
         high[rows] = top
-        low[rows] = np.ldexp(scaled, 32)
+        low[rows] = np.ldexp(scaled, 32, out=scaled)
     np.cumsum(high, out=high)
     np.cumsum(low, out=low)
     return _LogPrefix(primes, shift, high, low)
 
 
-def _span_table(from_prime: int, to_prime: int, limit: int) -> PrimeTable:
-    """primes_up_to(limit) for limit >= to_prime, once from_prime <= to_prime
-    are both checked prime; DomainError otherwise."""
+def _check_span(from_prime: int, to_prime: int, prime) -> None:
+    """DomainError unless from_prime <= to_prime are both prime by `prime`."""
     if from_prime > to_prime:
         raise DomainError(f"need from_prime <= to_prime, got ({from_prime}, {to_prime})")
-    table = primes_up_to(max(limit, 2))
-    if not (table.is_prime(from_prime) and table.is_prime(to_prime)):
+    if not (prime(from_prime) and prime(to_prime)):
         raise DomainError(f"bounds must be prime, got ({from_prime}, {to_prime})")
-    return table
 
 
 def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
@@ -96,7 +160,7 @@ def _prime_span(from_prime: int, to_prime: int) -> tuple[_LogPrefix, int, int]:
     from_prime, to_prime = _as_int(from_prime, "from_prime"), _as_int(to_prime, "to_prime")
     doublings = (max(to_prime - 1, 0) // PRODUCT_FACTOR_PRIME_LIMIT).bit_length()
     limit = max(to_prime, min(PRODUCT_FACTOR_PRIME_LIMIT << doublings, DEFAULT_PRIMALITY_BUDGET))
-    _span_table(from_prime, to_prime, limit)
+    _check_span(from_prime, to_prime, lambda n: primes_up_to(limit).is_prime(n))
     build = _build_log_prefix if limit == PRODUCT_FACTOR_PRIME_LIMIT else _build_log_prefix.__wrapped__
     table = build(limit)
     i = int(np.searchsorted(table.primes, from_prime, side="left"))
@@ -116,15 +180,32 @@ def product_factor(from_prime: int, to_prime: int) -> float:
     return math.exp(table.log_sum(i, j))
 
 
+def _least_prime_count(from_prime: int, to_prime: int) -> int:
+    """A proven lower bound on the primes in [from_prime, to_prime], from
+    Rosser and Schoenfeld (1962): pi(x) > x/ln x for x >= 17 and
+    pi(x) < 1.25506 x/ln x for x > 1; each side is taken one further for the
+    float roundings, and the bound is 0 below 17."""
+    if to_prime < 17:
+        return 0
+    above = math.floor(to_prime / math.log(to_prime)) - 1
+    below = 0 if from_prime < 3 else math.floor(1.25506 * (from_prime - 1) / math.log(from_prime - 1)) + 1
+    return max(above - below, 0)
+
+
 def product_factor_fraction(from_prime: int, to_prime: int) -> Fraction:
     """Exact rational product factor; for audit use on short prime ranges.
 
-    The primes are read off the table's odd flags and counted before any
-    product is taken: BudgetError past the exact-product cap of 10,000.
+    The bounds are checked by trial division, and a span whose proven least
+    prime count passes the exact-product cap of 10,000 is refused with
+    nothing sieved. Otherwise the primes are read off the table's odd flags
+    and counted before any product is taken: BudgetError past the cap.
     """
-    span = _span_table(from_prime, to_prime, to_prime).odd_prime_mask()[from_prime // 2 :]
-    count = int(np.count_nonzero(span)) + (from_prime == 2)
-    _check_budget(f"primes in [{from_prime}, {to_prime}]", count, "exact-product cap")
+    from_prime, to_prime = _as_int(from_prime, "from_prime"), _as_int(to_prime, "to_prime")
+    _check_span(from_prime, to_prime, is_prime)
+    asked = f"primes in [{from_prime}, {to_prime}]"
+    _check_budget(f"{asked} at least", _least_prime_count(from_prime, to_prime), "exact-product cap")
+    span = primes_up_to(to_prime).odd_prime_mask()[from_prime // 2 :]
+    _check_budget(asked, int(np.count_nonzero(span)) + (from_prime == 2), "exact-product cap")
     if from_prime == 2:
         return Fraction(0)
     out = Fraction(1)

@@ -867,6 +867,33 @@ def test_a_float_for_an_integer_raises_domain_error(name):
         NOT_INTEGERS[name]()
 
 
+# every Primorial input: (the function, the names of its Primorial arguments)
+TAKES_A_PRIMORIAL = {
+    "cycle_census": (census.cycle_census, ("inner", "outer")),
+    "seed_prime_set": (seed_prime_set, ("p",)),
+    "potential_solutions_T": (census.potential_solutions_T, ("p",)),
+    "figure1_series": (census.figure1_series, ("p",)),
+    "new_composites": (census.new_composites, ("p",)),
+    "prime_count_via_eq3": (census.prime_count_via_eq3, ("p",)),
+    "true_twin_count": (census.true_twin_count, ("limit_primorial",)),
+    "totient_of_primorial": (census.totient_of_primorial, ("p",)),
+}
+
+
+@pytest.mark.parametrize("value", [210, 210.0, "210", None, primes.Primorial(210, (2, 3, 5, 7, 11))],
+                         ids=["int", "float", "str", "None", "hand-built"])
+@pytest.mark.parametrize("name", TAKES_A_PRIMORIAL)
+def test_a_number_for_a_primorial_raises_domain_error(name, value):
+    fn, params = TAKES_A_PRIMORIAL[name]
+    primorials = (nth_primorial(3), nth_primorial(4))[-len(params):]  # 30 in 210, or 210
+    fn(*primorials)  # answered as before
+    for at, param in enumerate(params):
+        args = list(primorials)
+        args[at] = value
+        with pytest.raises(DomainError, match=f"^{param} must be a Primorial"):
+            fn(*args)
+
+
 def test_numpy_integers_are_integers():
     n = np.int64(97)
     assert is_prime(n) and PrimeTable(100).is_prime(n) and n in primes_up_to(np.int64(100))

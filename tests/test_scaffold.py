@@ -3,6 +3,7 @@ reference printed values."""
 import math
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from pslb.errors import BudgetError, DomainError
 from pslb import scaffold
-from pslb.primes import next_prime, prev_prime, primes_up_to
+from pslb.primes import is_prime, next_prime, prev_prime, primes_up_to
 from pslb.scaffold import (
     PRODUCT_FACTOR_PRIME_LIMIT,
     _build_log_prefix,
+    _log_terms,
     _prime_span,
+    _ulps_off,
     avg_solutions_in_cycle,
     build_table17,
     build_table18,
@@ -176,6 +179,79 @@ def test_log_prefix_build_peak_at_table_limit():
     # the prime array and the two limb arrays keep 4.8 MB; a build from whole
     # arrays of terms peaked at 12.4 MB
     assert peak < 7 * 2**20
+
+
+def math_log1p_terms(primes):
+    return np.array([math.log1p(-2.0 / q) for q in primes.tolist()])
+
+
+def test_log_terms_equal_math_log1p_to_the_table_limit():
+    odd = primes_up_to(PRODUCT_FACTOR_PRIME_LIMIT).ordered_primes[1:]
+    assert _log_terms(odd).tobytes() == math_log1p_terms(odd).tobytes()
+
+
+def trial_division_prime_at_least(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(3, 10**8 - 11), min_size=1, max_size=40))
+def test_log_terms_equal_math_log1p_up_to_the_primality_budget(starts):
+    # the prefix doubles up to the budget for a long span, so any prime to 1e8 is a term
+    primes = np.array([trial_division_prime_at_least(n) for n in starts])
+    assert _log_terms(primes).tobytes() == math_log1p_terms(primes).tobytes()
+
+
+@pytest.mark.parametrize("toward", [0.0, -1.0])
+def test_prefix_does_not_rest_on_numpys_log1p(monkeypatch, toward):
+    # a SIMD log1p may differ from libm; here every other guess is one ulp off
+    real = np.log1p
+    calls = []
+
+    def one_ulp_off(x):
+        y = real(x)
+        y[::2] = np.nextafter(y[::2], toward)
+        calls.append(len(y))
+        return y
+
+    monkeypatch.setattr(np, "log1p", one_ulp_off)
+    table = _build_log_prefix.__wrapped__(PRODUCT_FACTOR_PRIME_LIMIT)
+    primes, shift, high, low = whole_array_log_prefix(PRODUCT_FACTOR_PRIME_LIMIT)
+    assert sum(calls) == len(primes) - 1
+    assert table.shift == shift
+    assert table.high.tobytes() == high.tobytes() and table.low.tobytes() == low.tobytes()
+
+
+def ulps_off_slack(y):
+    """The bound _ulps_off states: the rounding of y*y, the series' tail and the rest."""
+    return abs(y) / 2 + 2.0**53 * abs(y) ** 5 / 719 + 2.0**-20
+
+
+def exact_ulps_off(x, y):
+    with localcontext(prec=200):
+        exact = (1 + Decimal(x)).ln()
+        return float((exact - Decimal(y)) / Decimal(abs(float(np.spacing(y)))))
+
+
+def test_ulps_off_within_its_stated_bound():
+    # primes just past 4,096, where |y| is near 2**-11 and the bound near
+    # 2**-10.7, near the table limit and near the primality budget
+    table = primes_up_to(PRODUCT_FACTOR_PRIME_LIMIT).ordered_primes
+    start = int(np.searchsorted(table, 4096))
+    primes = np.concatenate([table[start:start + 60], table[-60:],
+                             [trial_division_prime_at_least(10**8 - 2000 + 100 * k) for k in range(20)]])
+    x = -2.0 / primes
+    guess = np.log1p(x)
+    for y in (guess, np.nextafter(guess, 0.0), np.nextafter(guess, -1.0),
+              np.nextafter(np.nextafter(guess, -1.0), -1.0)):
+        got = _ulps_off(x, y)
+        for xi, yi, ti in zip(x.tolist(), y.tolist(), got.tolist()):
+            assert abs(ti - exact_ulps_off(xi, yi)) <= ulps_off_slack(yi), (xi, yi)
+    # a power of two has no one ulp: the gap below it is half the gap above
+    powers = -(2.0 ** -np.arange(12, 30))
+    assert np.isnan(_ulps_off(np.nextafter(powers, 0.0), powers)).all()
 
 
 def test_avg_and_rounding():
