@@ -20,7 +20,9 @@ from . import auditor, census, goldbach, tables
 from .census import DEFAULT_FACTOR_BUDGET
 from .errors import BudgetError, DomainError, PrimorialOverflowError, _check_budget
 from .primes import (
-    PrimeTable,
+    _CACHE_CHUNK,
+    _build_cache,
+    _read_cache,
     primes_up_to,
     seed_prime_set,
     smallest_primorial_at_least,
@@ -213,14 +215,15 @@ def _cmd_audit(args) -> tables.TableData:
 
 
 def _cmd_cache(args) -> tables.TableData:
+    # neither holds the bitset: build writes each sieved window as it is done,
+    # verify reads the body a chunk at a time into one buffer
     if args.action == "build":
-        table = PrimeTable.packed(args.limit)
-        table.save(args.cache_path)
+        limit, count = args.limit, _build_cache(args.cache_path, args.limit)
     else:
-        table = PrimeTable.load(args.cache_path)
+        limit, _, count = _read_cache(args.cache_path, _CACHE_CHUNK)
     return tables.TableData(
         0, "sieve cache written" if args.action == "build" else "sieve cache verified",
-        ("path", "limit", "primes"), [[args.cache_path, table.limit, table.prime_count]],
+        ("path", "limit", "primes"), [[args.cache_path, limit, count]],
     )
 
 

@@ -1,6 +1,8 @@
 """Exception types shared across the package, every budget limit, each
 defined once and checked by `_check_budget`, the one source of BudgetError,
-and `_as_int`, the one check that an integer input is an integer."""
+and `_as_int` and `_as_real`, the one check each that an integer input is an
+integer and a real input a real number."""
+import numbers
 import operator
 
 
@@ -49,3 +51,11 @@ def _as_int(z, name: str) -> int:
         return operator.index(z)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {z!r}") from None
+
+
+def _as_real(x, name: str):
+    """x itself if it is a real number (an int, a float, a NumPy scalar, a
+    Fraction); DomainError otherwise."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    return x

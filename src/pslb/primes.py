@@ -14,14 +14,19 @@ Every table holds its odd flags packed as a cache file's body from birth,
 sieved window by window straight into that form, read from a cache file or
 sliced from the shared table's, and answers lookups, counts and saves from
 them; its bool flags, one per odd integer, are only ever unpacked from them
-or sliced from the shared table's, so no table packs its flags again. One
-ladder of the 64-bit primorials, built at import by trial division, serves
-every primorial lookup.
+or sliced from the shared table's, so no table packs its flags again. A
+cache file is written by one chunked writer, `_write_cache`, and read by one
+chunked reader, `_read_cache`: `pslb cache build` streams the sieve's
+windows through the writer and `pslb cache verify` reads 1 MB at a time, so
+neither holds the bitset. One ladder of the 64-bit primorials, built at
+import by trial division, serves every primorial lookup.
 """
 from __future__ import annotations
 
 import math
 import operator
+import os
+import stat
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
@@ -40,6 +45,8 @@ CACHE_VERSION = 2
 # magic, version byte, little-endian u64 limit, then a u32 CRC-32 of the limit
 # bytes and the bitset body
 _CACHE_HEADER = struct.Struct("<4sBQI")  # 17 bytes
+# bytes of body `pslb cache verify` reads at a time, into one reused buffer
+_CACHE_CHUNK = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -207,17 +214,128 @@ def _and_patterns(bits: np.ndarray, at: int, patterns) -> None:
         bits[n:] &= phase[: bits.size - n]
 
 
-def _sieve_bits(limit: int) -> np.ndarray:
-    """The odd flags up to limit packed as a cache file's body: each window
-    of _prime_windows copied straight in. The limit is checked first."""
+def _sieve_limit(limit) -> int:
+    """limit as an int; DomainError below 2, BudgetError past the primality budget."""
     limit = _as_int(limit, "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     _check_budget("sieve limit", limit, "primality budget")
+    return limit
+
+
+def _sieve_bits(limit: int) -> np.ndarray:
+    """The odd flags up to limit packed as a cache file's body: each window
+    of _prime_windows copied straight in. The limit is checked first."""
+    limit = _sieve_limit(limit)
     bits = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
     for lo, window in _prime_windows(limit):
         bits[lo // 8 : lo // 8 + window.size] = window
     return bits
+
+
+def _popcount(bits: np.ndarray) -> int:
+    """The bits set in a byte array: np.bitwise_count over its 64-bit words
+    64 KB at a time (each block's count summed as uint32, so no cast buffer
+    of uint64), then over its tail bytes."""
+    words, step = bits[: bits.size // 8 * 8].view(np.uint64), 1 << 13  # any alignment will do
+    return int(np.bitwise_count(bits[words.size * 8 :]).sum()) + sum(
+        int(np.bitwise_count(words[i : i + step]).sum(dtype=np.uint32)) for i in range(0, words.size, step))
+
+
+# -- cache file ----------------------------------------------------------------
+
+
+def _open_seekable(path):
+    """path opened to write a cache file. DomainError if it cannot seek back
+    to its checksum, as a pipe or a FIFO cannot; a FIFO is refused before it
+    is opened, since opening one for writing waits for a reader."""
+    try:
+        fifo = stat.S_ISFIFO(os.stat(path).st_mode)
+    except OSError:  # no such file yet; open reports any other fault
+        fifo = False
+    if not fifo:
+        fh = open(path, "wb")
+        if fh.seekable():
+            return fh
+        fh.close()
+    raise DomainError(f"sieve cache output must be a file that can seek, got {path}")
+
+
+def _write_cache(path, limit: int, chunks: Iterable[np.ndarray]) -> int:
+    """Write the cache file of limit whose body is the packed byte arrays
+    chunks, in order, and return its prime count (2 and the bits set).
+
+    The header goes first with a placeholder checksum, each chunk is written,
+    checksummed and counted as it comes, and the checksum is written last,
+    over the placeholder. So the output is opened, and refused if it cannot
+    seek, before any chunk is asked for, and a write cut short leaves a file
+    that `_read_cache` refuses: its body is short or its checksum wrong.
+    """
+    with _open_seekable(path) as fh:
+        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, limit, 0))
+        crc, count = zlib.crc32(struct.pack("<Q", limit)), 1
+        for chunk in chunks:
+            fh.write(chunk)
+            crc, count = zlib.crc32(chunk, crc), count + _popcount(chunk)
+        fh.seek(_CACHE_HEADER.size - 4)
+        fh.write(struct.pack("<I", crc))
+    return count
+
+
+def _read_cache(path, chunk: int | None = None) -> tuple[int, np.ndarray, int | None]:
+    """Read a cache file: (limit, buffer, prime count); DomainError if it is
+    corrupt or of another version.
+
+    The header is checked before the body is read, so no limit past the
+    primality budget is read. The body is read into one buffer and each
+    piece checksummed as it is read: with chunk, a buffer of chunk bytes
+    reused from piece to piece, each piece's bits counted before the next
+    overwrites it; without, the whole body, which the caller keeps and counts
+    only if asked, so the count is None. The body's length, a byte past it,
+    its checksum and its padding bits are checked here alone.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_CACHE_HEADER.size)
+        if head[:4] != CACHE_MAGIC:
+            raise DomainError("bad sieve cache: wrong magic bytes")
+        if len(head) < _CACHE_HEADER.size:
+            raise DomainError(f"bad sieve cache: file is only {len(head)} bytes, "
+                              f"shorter than its {_CACHE_HEADER.size}-byte header")
+        _, version, limit, stored = _CACHE_HEADER.unpack(head)
+        if version != CACHE_VERSION:
+            # version 1 had no checksum, so a corrupt v1 body cannot be told apart
+            raise DomainError(f"bad sieve cache: unsupported version {version} "
+                              f"(rebuild it with `pslb cache build`)")
+        if not 2 <= limit <= DEFAULT_PRIMALITY_BUDGET:
+            raise DomainError(f"bad sieve cache: limit {limit} is below 2 or past the "
+                              f"primality budget {DEFAULT_PRIMALITY_BUDGET}")
+        size = ((limit + 1) // 2 + 7) // 8
+        buffer = np.empty(size if chunk is None else min(size, chunk), dtype=np.uint8)
+        crc, count, found = zlib.crc32(head[5:13]), 1, 0
+        while found < size:
+            piece = buffer[: fh.readinto(buffer[: size - found])]
+            if not piece.size:
+                break
+            crc, found = zlib.crc32(piece, crc), found + piece.size
+            if chunk is not None:
+                count += _popcount(piece)
+        if found != size or fh.read(1):
+            raise DomainError(f"bad sieve cache: expected {size} bitset bytes, found "
+                              f"{found if found < size else 'more'}")
+    if crc != stored:
+        raise DomainError("bad sieve cache: checksum mismatch")
+    pad = -((limit + 1) // 2) % 8  # the bits of the last byte past the last flag
+    if piece[-1] & ((1 << pad) - 1):
+        raise DomainError("bad sieve cache: padding bits set after the last flag")
+    return limit, buffer, None if chunk is None else count
+
+
+def _build_cache(path, limit) -> int:
+    """`pslb cache build`: write the cache file of limit straight from the
+    windows of `_prime_windows`, each as it is sieved, so no bitset is held;
+    its prime count. The limit is checked before path is opened."""
+    limit = _sieve_limit(limit)
+    return _write_cache(path, limit, (bits for _, bits in _prime_windows(limit)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -288,14 +406,9 @@ class PrimeTable:
 
     @property
     def prime_count(self) -> int:
-        """pi(limit): 2 and the bits set, in 64-bit words 64 KB at a time
-        (each block's count summed as uint32, so no cast buffer of uint64),
-        then the tail bytes and the last byte."""
-        bits, step = self._bits[:-1], 1 << 13
-        words = bits[: bits.size // 8 * 8].view(np.uint64)  # any alignment will do
-        tail = bits[words.size * 8 :]
-        return 1 + self._last_byte().bit_count() + int(np.bitwise_count(tail).sum()) + sum(
-            int(np.bitwise_count(words[i : i + step]).sum(dtype=np.uint32)) for i in range(0, words.size, step))
+        """pi(limit): 2, the bits set before the last byte and those of the
+        last byte up to the limit."""
+        return 1 + _popcount(self._bits[:-1]) + self._last_byte().bit_count()
 
     def odd_prime_mask(self) -> np.ndarray:
         """Read-only flag array over odd integers (index i holds 2i+1)."""
@@ -319,48 +432,20 @@ class PrimeTable:
     # -- cache file ----------------------------------------------------------
 
     def save(self, path) -> None:
-        # the body is written and checksummed as a buffer, no bytes copy
-        body, last = self._bits[:-1], bytes([self._last_byte()])
-        crc = zlib.crc32(last, zlib.crc32(body, zlib.crc32(struct.pack("<Q", self.limit))))
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.limit, crc))
-            fh.write(body)
-            fh.write(last)
+        """Write the table as a cache file: its packed bits, with those of
+        the last byte past the limit cleared, no copy."""
+        _write_cache(path, self.limit, (self._bits[:-1], np.array([self._last_byte()], dtype=np.uint8)))
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
         """Read a cache file; DomainError if it is corrupt or of another version.
 
-        The header is checked before the body is read, so no limit past the
-        primality budget is read; the body is read into one buffer and kept
-        as the table's bitset: the flags are unpacked only if asked for.
+        `_read_cache` reads the body into one buffer, after checking the
+        header, and the table keeps that buffer as its bitset: the flags are
+        unpacked only if asked for.
         """
-        with open(path, "rb") as fh:
-            head = fh.read(_CACHE_HEADER.size)
-            if head[:4] != CACHE_MAGIC:
-                raise DomainError("bad sieve cache: wrong magic bytes")
-            if len(head) < _CACHE_HEADER.size:
-                raise DomainError(f"bad sieve cache: file is only {len(head)} bytes, "
-                                  f"shorter than its {_CACHE_HEADER.size}-byte header")
-            _, version, limit, stored = _CACHE_HEADER.unpack(head)
-            if version != CACHE_VERSION:
-                # version 1 had no checksum, so a corrupt v1 body cannot be told apart
-                raise DomainError(f"bad sieve cache: unsupported version {version} "
-                                  f"(rebuild it with `pslb cache build`)")
-            if not 2 <= limit <= DEFAULT_PRIMALITY_BUDGET:
-                raise DomainError(f"bad sieve cache: limit {limit} is below 2 or past the "
-                                  f"primality budget {DEFAULT_PRIMALITY_BUDGET}")
-            body = np.empty(((limit + 1) // 2 + 7) // 8, dtype=np.uint8)
-            found = fh.readinto(body)
-            if found != body.size or fh.read(1):
-                raise DomainError(f"bad sieve cache: expected {body.size} bitset bytes, found "
-                                  f"{found if found < body.size else 'more'}")
-        if zlib.crc32(body, zlib.crc32(head[5:13])) != stored:
-            raise DomainError("bad sieve cache: checksum mismatch")
-        table = cls(limit, _bits=body)
-        if table._last_byte() != body[-1]:
-            raise DomainError("bad sieve cache: padding bits set after the last flag")
-        return table
+        limit, body, _ = _read_cache(path)
+        return cls(limit, _bits=body)
 
 
 # The shared table; it starts at _TABLE_FLOOR so small limits sieve once.
@@ -486,6 +571,7 @@ def nth_primorial(k: int) -> Primorial:
 
 def smallest_primorial_at_least(n: int) -> Primorial:
     """Least primorial >= n."""
+    n = _as_int(n, "n")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     i = bisect_left(_LADDER_VALUES, n)
@@ -496,6 +582,7 @@ def smallest_primorial_at_least(n: int) -> Primorial:
 
 def largest_primorial_at_most(n: int) -> Primorial:
     """Greatest primorial <= n (47# for every n past it)."""
+    n = _as_int(n, "n")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     return _LADDER[bisect_right(_LADDER_VALUES, n) - 1]
@@ -526,6 +613,13 @@ class SeedPrimeSet:
         return self.core + self.non_core
 
 
+def _as_seed_set(sps, name: str) -> SeedPrimeSet:
+    """sps itself if it is a SeedPrimeSet; DomainError naming the argument otherwise."""
+    if not isinstance(sps, SeedPrimeSet):
+        raise DomainError(f"{name} must be a SeedPrimeSet from seed_prime_set, got {sps!r}")
+    return sps
+
+
 @lru_cache(maxsize=8)
 def seed_prime_set(p: Primorial) -> SeedPrimeSet:
     """Partition the seed primes of a primorial into core and non-core.
@@ -542,6 +636,7 @@ def seed_prime_set(p: Primorial) -> SeedPrimeSet:
 
 def max_seed_prime_for(n: int) -> int:
     """Largest prime <= sqrt of the smallest primorial >= n."""
+    n = _as_int(n, "n")
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
     return _max_seed_prime(smallest_primorial_at_least(n).value)

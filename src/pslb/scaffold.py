@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .census import potential_solutions_T
-from .errors import DEFAULT_PRIMALITY_BUDGET, DomainError, _as_int, _check_budget
+from .errors import DEFAULT_PRIMALITY_BUDGET, DomainError, _as_int, _as_real, _check_budget
 from .primes import (Primorial, is_prime, max_seed_prime_for, next_prime, nth_primorial,
                      primes_up_to)
 
@@ -216,6 +216,7 @@ def product_factor_fraction(from_prime: int, to_prime: int) -> Fraction:
 
 def avg_solutions_in_cycle(T_M: int, pf: float) -> float:
     """Average potential solutions per cycle: exact real product T * pf."""
+    T_M, pf = _as_real(T_M, "T_M"), _as_real(pf, "pf")
     if T_M < 1:
         raise DomainError(f"need T >= 1, got {T_M}")
     if not 0.0 < pf <= 1.0:
@@ -225,7 +226,7 @@ def avg_solutions_in_cycle(T_M: int, pf: float) -> float:
 
 def round_display(x: float) -> int:
     """Round-half-up to the nearest integer, the tables' display convention."""
-    return math.floor(x + 0.5)
+    return math.floor(_as_real(x, "x") + 0.5)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError, _as_int
 # residue_sieve is only re-exported: pslb.signatures.residue_sieve is the kernel
-from .primes import SeedPrimeSet, is_prime, primes_up_to, residue_sieve, seed_free_odd_mask
+from .primes import SeedPrimeSet, _as_seed_set, is_prime, primes_up_to, residue_sieve, seed_free_odd_mask
 
 VERDICT_UNIT = "unit"
 VERDICT_SEED_PRIME = "seed-prime"
@@ -91,7 +91,7 @@ def _check_seeds(seeds: tuple) -> _SeedTuple:
     """The record of a seed tuple, keyed on the tuple as passed; an invalid
     tuple raises on every call. A tuple of exact ints is kept as the
     record's own, so signatures over it carry that very tuple."""
-    ints = seeds if all(type(s) is int for s in seeds) else tuple(int(s) for s in seeds)
+    ints = seeds if all(type(s) is int for s in seeds) else tuple(_as_int(s, "each seed") for s in seeds)
     if not ints:
         raise DomainError("seed prime list is empty")
     if list(ints) != sorted(set(ints)):
@@ -127,7 +127,11 @@ def signature(z: int, seeds) -> ModularSignature:
     z = _as_int(z, "z")
     if z < 1:
         raise DomainError(f"need z >= 1, got {z}")
-    rec = _check_seeds(tuple(seeds))
+    try:
+        seeds = tuple(seeds)
+    except TypeError:
+        raise DomainError(f"seeds must be an iterable of primes, got {seeds!r}") from None
+    rec = _check_seeds(seeds)
     if z >= _INT64_END:
         return ModularSignature(z, rec.ints, tuple(z % s for s in rec.ints))
     row = np.remainder(z, rec.array)
@@ -190,6 +194,13 @@ def _crt_of_row(residues: tuple[int, ...], row: np.ndarray, rec: _SeedTuple) -> 
     return x
 
 
+def _as_signature(sig, name: str) -> ModularSignature:
+    """sig itself if it is a ModularSignature; DomainError naming the argument otherwise."""
+    if not isinstance(sig, ModularSignature):
+        raise DomainError(f"{name} must be a ModularSignature, got {sig!r}")
+    return sig
+
+
 def crt_reconstruct(sig: ModularSignature) -> int:
     """Unique solution in [0, prod(seeds)) matching every residue.
 
@@ -203,7 +214,7 @@ def crt_reconstruct(sig: ModularSignature) -> int:
     steps where t_k is 0 by chance. A signature made by `signature` for
     z < 2^63 is compared with its own remainder row instead.
     """
-    own = sig.__dict__.get("_row")
+    own = _as_signature(sig, "sig").__dict__.get("_row")
     if own is not None:
         return _crt_of_row(sig.residues, *own)
     # a residue tuple shorter than the seeds fixes only the leading seeds
@@ -245,7 +256,7 @@ def classify(z: int, sps: SeedPrimeSet) -> Classification:
     A non-core seed prime dividing z (e.g. 29 | 2291) counts as an ordinary
     zero residue; the seed-prime verdict applies only when z itself is a seed.
     """
-    z = _as_int(z, "z")
+    z, sps = _as_int(z, "z"), _as_seed_set(sps, "sps")
     if not 1 <= z <= sps.primorial.value:
         raise DomainError(f"z must lie in [1, {sps.primorial.value}], got {z}")
     # z <= 47# < 2^63, and the core seeds lead the seed tuple
@@ -274,7 +285,7 @@ def is_potential_twin(o2: int, sps: SeedPrimeSet) -> bool:
     The pair is anchored at its larger member o2; it survives when o2 and
     o2 - 2 are both potential primes, neither divisible by an odd core seed.
     """
-    o2 = _as_int(o2, "twin anchor")
+    o2, sps = _as_int(o2, "twin anchor"), _as_seed_set(sps, "sps")
     if o2 % 2 == 0:
         raise DomainError(f"twin anchor must be odd, got {o2}")
     if not 5 <= o2 <= sps.primorial.value:

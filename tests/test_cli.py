@@ -2,16 +2,21 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
+import os
 import time
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslb import cli
+from pslb import cli, primes
 from pslb.cli import main
+from pslb.errors import DomainError
+from pslb.primes import PrimeTable
 
 
 def run(capsys, *argv):
@@ -197,6 +202,123 @@ def test_cache_verify_corrupt(capsys, tmp_path):
     code, _, err = run(capsys, "cache", "verify", str(path))
     assert code == 1
     assert "magic" in err
+
+
+# limit: pi(limit); 2 * 2**20 - 1 is the last limit whose odd integers fill one
+# sieve window, and the bodies of 15 and 16 end in a full byte
+CACHE_LIMITS = {2: 1, 3: 2, 15: 6, 16: 6, 17: 7, 10**6: 78_498,
+                2 * 2**20 - 1: 155_611, 2 * 2**20: 155_611, 2 * 2**20 + 1: 155_611}
+
+
+@pytest.mark.parametrize("limit", CACHE_LIMITS)
+def test_cache_build_writes_a_saved_tables_bytes(capsys, tmp_path, limit):
+    built, saved = tmp_path / "built.sieve", tmp_path / "saved.sieve"
+    row = [[str(built), str(limit), str(CACHE_LIMITS[limit])]]
+    code, out, _ = run(capsys, "cache", "build", "--limit", str(limit), "--out-path", str(built))
+    assert code == 0 and parse_csv(out)[1] == row
+    PrimeTable.packed(limit).save(saved)
+    assert built.read_bytes() == saved.read_bytes()
+    code, out, _ = run(capsys, "cache", "verify", str(built))
+    assert code == 0 and parse_csv(out)[1] == row
+    assert PrimeTable.load(built).prime_count == len(PrimeTable(limit).ordered_primes) == CACHE_LIMITS[limit]
+
+
+# a body of 1,250,001 bytes, so verify reads it in two chunks of at most 1 MB,
+# whose last byte holds one flag and seven padding bits
+CHUNKED_LIMIT = 20_000_001
+
+
+@pytest.fixture(scope="module")
+def chunked_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chunked") / "cache.sieve"
+    PrimeTable.packed(CHUNKED_LIMIT).save(path)
+    return path.read_bytes()
+
+
+def with_checksum(blob: bytes) -> bytes:
+    """blob with its header's CRC-32 made right for its limit and body."""
+    crc = zlib.crc32(blob[17:], zlib.crc32(blob[5:13]))
+    return blob[:13] + crc.to_bytes(4, "little") + blob[17:]
+
+
+def flip(blob: bytes, at: int) -> bytes:
+    return blob[:at] + bytes([blob[at] ^ 0x10]) + blob[at + 1 :]
+
+
+VERIFY_REFUSALS = {
+    "byte flipped past the first chunk": (lambda b: flip(b, 17 + 2**20 + 5), "checksum mismatch"),
+    "truncated body": (lambda b: b[:-1], "expected 1250001 bitset bytes, found 1250000"),
+    "one trailing byte": (lambda b: b + b"\x00", "expected 1250001 bitset bytes, found more"),
+    "padding bit set": (lambda b: with_checksum(b[:-1] + bytes([b[-1] | 1])),
+                        "padding bits set after the last flag"),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_REFUSALS)
+def test_cache_verify_refuses_with_loads_message(capsys, tmp_path, chunked_cache, name):
+    mutate, message = VERIFY_REFUSALS[name]
+    path = tmp_path / "cache.sieve"
+    path.write_bytes(mutate(chunked_cache))
+    with pytest.raises(DomainError) as refused:
+        PrimeTable.load(path)
+    assert str(refused.value) == f"bad sieve cache: {message}"
+    code, out, err = run(capsys, "cache", "verify", str(path))
+    assert (code, out, err) == (1, "", f"error: bad sieve cache: {message}\n")
+
+
+def test_cache_verify_refuses_a_limit_past_the_budget_before_the_body(capsys, tmp_path):
+    path = tmp_path / "cache.sieve"
+    path.write_bytes(with_checksum(b"PSLB\x02" + (10**12).to_bytes(8, "little") + bytes(4) + bytes(2**20)))
+    argv = ["cache", "verify", str(path)]
+    main(argv)  # the parser, built once per process, outside the trace
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, err = capsys.readouterr()
+    assert code == 1 and peak < 64 * 2**10
+    assert err.endswith("error: bad sieve cache: limit 1000000000000 is below 2 or past the "
+                        "primality budget 100000000\n")
+
+
+def test_cache_build_into_a_fifo_exits_1_with_nothing_sieved(capsys, tmp_path, monkeypatch):
+    # a FIFO cannot seek back to the checksum, and opening one to write
+    # would wait for a reader; both the build and a save refuse it unopened
+    fifo = tmp_path / "cache.fifo"
+    os.mkfifo(fifo)
+    sieved = []
+
+    def windows(limit):
+        sieved.append(limit)
+        yield from ()
+
+    monkeypatch.setattr(primes, "_prime_windows", windows)
+    code, out, err = run(capsys, "cache", "build", "--limit", "1000", "--out-path", str(fifo))
+    assert (code, out, sieved) == (1, "", [])
+    assert err == f"error: sieve cache output must be a file that can seek, got {fifo}\n"
+    with pytest.raises(DomainError, match="can seek"):
+        PrimeTable(1000).save(fifo)
+
+
+@pytest.mark.parametrize("windows, message", [
+    (2, "expected 312500 bitset bytes, found 262144"),  # of the 3 windows at 5e6
+    (None, "checksum mismatch"),  # every window written, the checksum not
+], ids=["two windows", "every window"])
+def test_cache_build_cut_short_leaves_a_file_verify_refuses(capsys, tmp_path, monkeypatch, windows, message):
+    path = tmp_path / "cache.sieve"
+    sieve = primes._prime_windows
+
+    def cut_short(limit):
+        yield from itertools.islice(sieve(limit), windows)
+        raise RuntimeError("cut short")
+
+    monkeypatch.setattr(primes, "_prime_windows", cut_short)
+    with pytest.raises(RuntimeError, match="cut short"):
+        main(["cache", "build", "--limit", "5000000", "--out-path", str(path)])
+    code, out, err = run(capsys, "cache", "verify", str(path))
+    assert (code, out, err) == (1, "", f"error: bad sieve cache: {message}\n")
 
 
 # printed product-factor and average cells of the scaffold tables, per column

@@ -731,6 +731,16 @@ def test_cache_build_at_1e7_holds_no_bool_flags(tmp_path, capsys):
     assert path.read_bytes()[17:] == np.packbits(sieve_odd_flags(10**7)).tobytes()
 
 
+def test_cache_build_and_verify_at_1e8_hold_one_window(tmp_path, capsys):
+    # build writes each sieved window as it is done and verify reads the body
+    # 1 MB at a time, so neither holds the 6.25 MB bitset
+    path = tmp_path / "p.sieve"
+    build, verify = ["cache", "build", "--limit", "100000000", "--out-path", str(path)], ["cache", "verify", str(path)]
+    assert traced_peak(lambda: cli.main(build)) < 3 * 2**20
+    assert traced_peak(lambda: cli.main(verify)) < 3 * 2**20
+    assert capsys.readouterr().out.splitlines()[-1] == f"{path},100000000,5761455"
+
+
 def test_cache_load_and_lookups_at_1e7_read_the_bits(tmp_path):
     path = tmp_path / "p.sieve"
     PrimeTable.packed(10**7).save(path)
