@@ -1,7 +1,8 @@
 """Exception types shared across the package, every budget limit, each
 defined once and checked by `_check_budget`, the one source of BudgetError,
 and `_as_int` and `_as_real`, the one check each that an integer input is an
-integer and a real input a real number."""
+integer and a real input a finite real number."""
+import math
 import numbers
 import operator
 
@@ -53,9 +54,20 @@ def _as_int(z, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {z!r}") from None
 
 
+# the least magnitude that float() rounds past the largest float
+_FLOAT_END = 2**1024 - 2**970
+
+
 def _as_real(x, name: str):
-    """x itself if it is a real number (an int, a float, a NumPy scalar, a
-    Fraction); DomainError otherwise."""
+    """x itself if it is a finite real number within float range (an int, a
+    float, a NumPy scalar, a Fraction); DomainError otherwise. An exact x is
+    compared exactly, never converted to a float."""
     if not isinstance(x, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {x!r}")
+    if isinstance(x, numbers.Rational):
+        finite = -_FLOAT_END < x < _FLOAT_END
+    else:
+        finite = math.isfinite(x)
+    if not finite:
+        raise DomainError(f"{name} must be finite and within float range, got {x!r}")
     return x

@@ -614,10 +614,17 @@ class SeedPrimeSet:
 
 
 def _as_seed_set(sps, name: str) -> SeedPrimeSet:
-    """sps itself if it is a SeedPrimeSet; DomainError naming the argument otherwise."""
-    if not isinstance(sps, SeedPrimeSet):
-        raise DomainError(f"{name} must be a SeedPrimeSet from seed_prime_set, got {sps!r}")
-    return sps
+    """The seed_prime_set of sps's own ladder primorial if sps is it or equals
+    it (a copy); DomainError naming the argument otherwise, a hand-built
+    SeedPrimeSet whose fields are not a seed set's included."""
+    if isinstance(sps, SeedPrimeSet):
+        try:
+            own = seed_prime_set(_as_primorial(sps.primorial, name))
+            if sps is own or sps == own:
+                return own
+        except ValueError:  # a DomainError, or an array field compared elementwise
+            pass
+    raise DomainError(f"{name} must be a SeedPrimeSet from seed_prime_set, got {sps!r}")
 
 
 @lru_cache(maxsize=8)

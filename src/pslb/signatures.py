@@ -178,22 +178,6 @@ def _meets_every_residue(x: int, moduli: np.ndarray | None, residues) -> bool:
     return np.array_equal(np.remainder(x, moduli), residues)
 
 
-def _crt_of_row(residues: tuple[int, ...], row: np.ndarray, rec: _SeedTuple) -> int:
-    """crt_reconstruct of a signature made by `signature`: x reaches z < 2^63
-    within 16 steps and the 17th finds t = 0, so the walk reads only the
-    record's _ROW_STEPS inverses. Fewer seeds are all walked, giving z mod M.
-    """
-    last_m, last_r = rec.ints[-1], residues[-1]
-    x, prefix = 0, 1
-    for m, inverse, r in zip(rec.ints, rec.inverses, residues):
-        t = (r - x) * inverse % m
-        if t == 0 and x % last_m == last_r and _meets_every_residue(x, rec.array, row):
-            return x
-        x += t * prefix
-        prefix *= m
-    return x
-
-
 def _as_signature(sig, name: str) -> ModularSignature:
     """sig itself if it is a ModularSignature; DomainError naming the argument otherwise."""
     if not isinstance(sig, ModularSignature):
@@ -211,24 +195,42 @@ def crt_reconstruct(sig: ModularSignature) -> int:
     steps stop (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
     That compare takes one remainder over the moduli's int64 array while
     x < 2^63; the last residue is tried first, as a cheap filter for the
-    steps where t_k is 0 by chance. A signature made by `signature` for
-    z < 2^63 is compared with its own remainder row instead.
+    steps where t_k is 0 by chance.
+
+    One walk over two kinds of input. A signature made by `signature` for
+    z < 2^63 walks its seed record's leading _ROW_STEPS inverses and is
+    compared with its own remainder row: x reaches z within 16 steps and the
+    17th finds t = 0 (fewer seeds are all walked, giving z mod M). Any other
+    signature walks the Garner basis of its moduli, and a modulus of 0 or
+    two moduli not coprime are a DomainError.
     """
     own = _as_signature(sig, "sig").__dict__.get("_row")
     if own is not None:
-        return _crt_of_row(sig.residues, *own)
-    # a residue tuple shorter than the seeds fixes only the leading seeds
-    moduli = tuple(sig.seed_primes[: len(sig.residues)])
-    if not moduli:
-        return 0
-    inverses, moduli_array = _garner_basis(moduli)
-    residues = tuple(_as_int(r, "each residue") for r in sig.residues[: len(moduli)])
+        compare, rec = own
+        moduli, inverses, moduli_array, residues = rec.ints, rec.inverses, rec.array, sig.residues
+    else:
+        try:
+            # a residue tuple shorter than the seeds fixes only the leading seeds
+            moduli = tuple(sig.seed_primes[: len(sig.residues)])
+            residues = sig.residues[: len(moduli)]
+        except TypeError:
+            raise DomainError(f"sig's seed primes and residues must be sequences, got {sig!r}") from None
+        # a tuple of ints is kept as is, so _garner_basis finds it by identity
+        if not all(type(m) is int for m in moduli):
+            moduli = tuple(_as_int(m, "each seed prime") for m in moduli)
+        if not moduli:
+            return 0
+        try:
+            inverses, moduli_array = _garner_basis(moduli)
+        except (ZeroDivisionError, ValueError):
+            raise DomainError(f"moduli must be nonzero and pairwise coprime, got {moduli}") from None
+        compare = residues = tuple(_as_int(r, "each residue") for r in residues)
     last_m, last_r = moduli[-1], residues[-1]
     x, prefix = 0, 1
     for m, inverse, r in zip(moduli, inverses, residues):
         t = (r - x) * inverse % m
         if (t == 0 and x < _INT64_END and x % last_m == last_r
-                and _meets_every_residue(x, moduli_array, residues)):
+                and _meets_every_residue(x, moduli_array, compare)):
             return x
         x += t * prefix
         prefix *= m

@@ -170,6 +170,29 @@ def test_p6_reports_each_e_whose_pair_holds_a_dropped_prime(monkeypatch):
     assert rep.witnesses == clean.witnesses and clean.witnesses[0].startswith("case split:")
 
 
+def test_t9_reports_each_e_whose_pair_holds_a_composite(monkeypatch):
+    # 992 is the one E of the small range solved through the certified scaffold
+    # path; 300 = 9 + 291 and 992 = 9 + 983 each hold the composite 9
+    clean = auditor.audit("T9", "small")
+    assert clean.witnesses == ["1 even numbers solved through the certified scaffold path"]
+    solve = goldbach.goldbach_solve
+
+    def with_nine(E):
+        sol = solve(E)
+        return dataclasses.replace(sol, pair=goldbach.GoldbachPair(E, 9, E - 9)) if E in (300, 992) else sol
+
+    monkeypatch.setattr(goldbach, "goldbach_solve", with_nine)
+    auditor._solutions.cache_clear()
+    try:
+        rep = auditor.audit("T9", "small")
+    finally:
+        auditor._solutions.cache_clear()
+    assert rep.status == auditor.FAIL
+    assert rep.counterexamples == ["E=300: bad pair", "E=992: bad pair"]
+    # the witness no longer counts 992 as solved
+    assert rep.witnesses == ["0 even numbers solved through the certified scaffold path"]
+
+
 @pytest.mark.parametrize("pair", [(2, 7), (3, 5), (3, 4)])
 def test_t4_mean_holds_for_any_primorial_pair(monkeypatch, pair):
     # B/A cycles share totient(B), so the mean per cycle is totient(B) * A / B,

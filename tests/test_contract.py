@@ -6,16 +6,20 @@ a new public name is covered with no edit here."""
 import inspect
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import pslb
-from pslb import BudgetError, DomainError, PrimorialOverflowError, nth_primorial
+from pslb import BudgetError, DomainError, ModularSignature, PrimorialOverflowError, SeedPrimeSet, nth_primorial
 
 REFUSALS = (DomainError, BudgetError, PrimorialOverflowError)
 
-GRID = (-1, 0, 1, 2, 5, 30, 31, 2310, 10**17, 2.5, 10.0, np.int64(30), nth_primorial(3), "30", None)
+GRID = (-1, 0, 1, 2, 5, 30, 31, 2310, 10**17, 2.5, 10.0, np.int64(30), nth_primorial(3), "30", None,
+        # non-finite and past float range; hand-built objects with wrong fields
+        float("nan"), float("inf"), 10**400,
+        SeedPrimeSet(nth_primorial(3), (3,), ()), ModularSignature(1, None, None))
 
 
 def required_arity(fn) -> int:
@@ -60,3 +64,18 @@ def test_every_public_call_answers_or_refuses(name):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, (name, args, peak)
+
+
+# hand-built objects and non-finite or overflowing reals that once leaked
+# another exception or were answered from wrong fields: each is refused
+@pytest.mark.parametrize("name, args", [
+    ("classify", (5, SeedPrimeSet(30, (), ()))),
+    ("is_potential_twin", (7, SeedPrimeSet(nth_primorial(3), (3,), ()))),  # a wrong core
+    ("crt_reconstruct", (ModularSignature(1, None, None),)),
+    ("round_display", (float("nan"),)), ("round_display", (float("inf"),)),
+    ("round_display", (10**400,)), ("round_display", (Fraction(10**400),)),
+    ("avg_solutions_in_cycle", (float("nan"), 0.5)), ("avg_solutions_in_cycle", (float("inf"), 0.5)),
+])
+def test_hand_built_and_non_finite_arguments_are_refused(name, args):
+    with pytest.raises(DomainError):
+        getattr(pslb, name)(*args)

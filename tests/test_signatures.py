@@ -429,9 +429,10 @@ SEEDS_23 = seed_prime_set(nth_primorial(9)).all_seeds  # 1,748 seeds
 
 
 def row_path(sig):
-    """crt_reconstruct(sig) and whether it took the signature's own row."""
-    x, calls = crt_calls(sig, "_crt_of_row")
-    return x, bool(calls)
+    """crt_reconstruct(sig) and whether it took the signature's own row: it
+    looked up no Garner basis."""
+    x, calls = crt_calls(sig, "_garner_basis")
+    return x, not calls
 
 
 @settings(max_examples=200, deadline=None)
@@ -678,11 +679,11 @@ def test_seed_tuple_is_checked_once(monkeypatch):
 # the leading 48 primes; each case pins what crt_reconstruct gives through the
 # basis's plain walk, or the exact type it raises
 EDGE_MODULI = [
-    ((3, 0, 5), ZeroDivisionError), ((6, 4, 0), ValueError), ((0,), ZeroDivisionError),
-    ((1, -1, 5), -3), ((-5, 7), -20), ((True, 3), 1), ((3, 3), ValueError),
-    ((3.0, 5.0), TypeError), ((4, 6, 3.0), ValueError), ((np.int64(3), np.int64(5)), TypeError),
-    (tuple(PRIMES_BELOW_20000[:48]) + (0,), ZeroDivisionError),
-    (tuple(PRIMES_BELOW_20000[:47]) + (6, 0), ValueError),
+    ((3, 0, 5), DomainError), ((6, 4, 0), DomainError), ((0,), DomainError),
+    ((1, -1, 5), -3), ((-5, 7), -20), ((True, 3), 1), ((3, 3), DomainError),
+    ((3.0, 5.0), DomainError), ((4, 6, 3.0), DomainError), ((np.int64(3), np.int64(5)), 6),
+    (tuple(PRIMES_BELOW_20000[:48]) + (0,), DomainError),
+    (tuple(PRIMES_BELOW_20000[:47]) + (6, 0), DomainError),
 ]
 
 
